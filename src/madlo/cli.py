@@ -131,6 +131,7 @@ def _run_odometry(args) -> int:
     source = ScanSource(_FORMAT_KINDS[args.format], args.data,
                         scan_period=config.scan_period,
                         min_range=config.min_range, max_range=config.max_range)
+    source.stamps()  # reject a bad times.txt before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "frames.csv"

@@ -28,7 +28,8 @@ FLOAT_FORMAT = "%.17g"
 
 
 def read_kitti_bin(path, min_range=0.0, max_range=np.inf) -> PointCloud:
-    """Read a KITTI velodyne scan, dropping points outside the range band.
+    """Read a KITTI velodyne scan, dropping non-finite points and points
+    outside the range band.
 
     The file must be a whole number of 16-byte records; intensity is
     discarded. Ranges are Euclidean distances from the sensor origin and
@@ -40,8 +41,19 @@ def read_kitti_bin(path, min_range=0.0, max_range=np.inf) -> PointCloud:
             f"{path}: size {size} bytes is not a multiple of {KITTI_POINT_BYTES}"
         )
     raw = np.fromfile(path, dtype="<f4")
-    points = raw.reshape(-1, 4)[:, :3].astype(np.float64)
+    points, _ = _drop_non_finite(path, raw.reshape(-1, 4)[:, :3].astype(np.float64))
     return filter_range(PointCloud(points), min_range, max_range)
+
+
+def _drop_non_finite(path, points: np.ndarray, times: np.ndarray | None = None):
+    """Drop points with a NaN/Inf coordinate (or time) and log how many."""
+    keep = np.isfinite(points).all(axis=1)
+    if times is not None:
+        keep &= np.isfinite(times)
+    if keep.all():
+        return points, times
+    log.warning("%s: dropped %d non-finite points", path, int(keep.size - keep.sum()))
+    return points[keep], None if times is None else times[keep]
 
 
 def write_kitti_bin(path, cloud: PointCloud, intensities=None) -> None:
@@ -115,7 +127,8 @@ def read_ply(path) -> PointCloud:
     x/y/z may be float or double; a scalar property named time, t or
     timestamp becomes rel_times (min-max normalized when outside [0, 1]).
     Other scalar properties are ignored; list properties and additional
-    elements are rejected.
+    elements are rejected. Points with a non-finite coordinate or time are
+    dropped.
     """
     data = Path(path).read_bytes()
     marker = data.find(b"end_header")
@@ -168,11 +181,9 @@ def read_ply(path) -> PointCloud:
         column = lambda name: grid[:, names.index(name)]
 
     points = np.column_stack([column("x"), column("y"), column("z")])
-    rel = None
-    for name in _TIME_NAMES:
-        if name in names:
-            rel = _normalize_times(column(name))
-            break
+    times = next((column(name) for name in _TIME_NAMES if name in names), None)
+    points, times = _drop_non_finite(path, points, times)
+    rel = None if times is None else _normalize_times(times)
     return PointCloud(points, rel_times=rel)
 
 
@@ -380,7 +391,8 @@ class ScanSource:
 
     kind is ``kitti_bin_dir`` (``*.bin``) or ``ply_dir`` (``*.ply``). Frame
     stamps come from a ``times.txt`` next to (or one level above) the scan
-    files, one float per line; otherwise frame k is stamped k * scan_period.
+    files, one float per line, strictly increasing over the scans read;
+    otherwise frame k is stamped k * scan_period.
     """
 
     kind: str
@@ -411,12 +423,18 @@ class ScanSource:
     def stamps(self) -> list:
         for candidate in (self.path / "times.txt", self.path.parent / "times.txt"):
             if candidate.is_file():
-                values = [float(tok) for tok in candidate.read_text().split()]
-                if len(values) < len(self.files):
+                lines = candidate.read_text().splitlines()
+                stamped = [(float(tok), lineno) for lineno, line in enumerate(lines, 1)
+                           for tok in line.split()][: len(self.files)]
+                if len(stamped) < len(self.files):
                     raise ValueError(
-                        f"{candidate}: {len(values)} stamps for {len(self.files)} scans"
+                        f"{candidate}: {len(stamped)} stamps for {len(self.files)} scans"
                     )
-                return values[: len(self.files)]
+                for (prev, _), (cur, lineno) in zip(stamped, stamped[1:]):
+                    if not cur > prev:
+                        raise ValueError(f"{candidate}:{lineno}: stamp {cur!r} is not above "
+                                         f"the previous stamp {prev!r}")
+                return [value for value, _ in stamped]
         return [k * self.scan_period for k in range(len(self.files))]
 
     def read_scan(self, index: int) -> PointCloud:

@@ -1,15 +1,15 @@
-"""Minimal 3D geometry kernel: SO(3)/SE(3) maps, rigid transforms, point statistics.
+"""Minimal 3D geometry kernel: SO(3)/SE(3) maps, rigid transforms, point clouds.
 
 Conventions used across the package:
 
 * points are float64 ndarrays of shape (3,) or (N, 3)
 * rotations are 3x3 orthonormal matrices with det +1
-* twists are (rho, theta) pairs; stacked as a 6-vector the translational
-  part comes first, matching the column order of registration Jacobians
+* twists are 6-vectors (rho, theta): the translational part comes first,
+  matching the column order of registration Jacobians
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,27 +79,6 @@ def log_so3(r: np.ndarray) -> np.ndarray:
         t = np.pi - float(np.arcsin(np.clip(np.linalg.norm(s), 0.0, 1.0)))
         return t * axis
     return (t / np.sin(t)) * s
-
-
-@dataclass(frozen=True)
-class Twist6:
-    """Body-frame velocity/increment split into translation and rotation."""
-
-    rho: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float).reshape(3))
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(3))
-
-    @classmethod
-    def from_vector(cls, xi: np.ndarray) -> "Twist6":
-        xi = np.asarray(xi, dtype=float).reshape(6)
-        return cls(xi[:3], xi[3:])
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.theta])
 
 
 class Isometry3:
@@ -187,20 +166,17 @@ def _v_matrix_inv(theta: np.ndarray) -> np.ndarray:
 
 def exp_se3(xi) -> Isometry3:
     """Twist to rigid transform: R = exp(theta), t = V(theta) @ rho."""
-    if isinstance(xi, Twist6):
-        rho, theta = xi.rho, xi.theta
-    else:
-        v = np.asarray(xi, dtype=float).reshape(6)
-        rho, theta = v[:3], v[3:]
+    v = np.asarray(xi, dtype=float).reshape(6)
+    rho, theta = v[:3], v[3:]
     r = exp_so3(theta)
     return Isometry3(r, _v_matrix(theta) @ rho, _trusted=True)
 
 
-def log_se3(x: Isometry3) -> Twist6:
-    """Inverse of exp_se3; rotation norm in [0, pi]."""
+def log_se3(x: Isometry3) -> np.ndarray:
+    """Inverse of exp_se3 as a 6-vector (rho, theta); rotation norm in [0, pi]."""
     theta = log_so3(x.rotation)
     rho = _v_matrix_inv(theta) @ x.translation
-    return Twist6(rho, theta)
+    return np.concatenate([rho, theta])
 
 
 def exp_se3_batch(rhos: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,40 +235,13 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def mean_and_covariance(points) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid and population (1/N) covariance of a point set."""
-    pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=float)
-    pts = pts.reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise ValueError("cannot take statistics of an empty point set")
-    mu = pts.mean(axis=0)
-    d = pts - mu
-    cov = (d.T @ d) / pts.shape[0]
-    return mu, 0.5 * (cov + cov.T)
-
-
-def eig_sym3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 3x3, eigenvalues ascending.
-
-    Eigenvector columns are sign-normalized (largest-magnitude component
-    positive) so repeated decompositions are reproducible.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got {m.shape}")
-    if np.abs(m - m.T).max() > 1e-9 * max(1.0, np.abs(m).max()):
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(m)
-    vecs = vecs.copy()
-    for j in range(3):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, vecs
-
-
 def eig_sym3_batch(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eig_sym3 over a (N,3,3) stack; same ordering and sign convention."""
+    """Eigen-decomposition of a (N,3,3) stack of symmetric matrices.
+
+    Eigenvalues come out ascending. Eigenvector columns are sign-normalized
+    (largest-magnitude component positive) so repeated decompositions are
+    reproducible.
+    """
     vals, vecs = np.linalg.eigh(ms)
     idx = np.argmax(np.abs(vecs), axis=1)  # (N,3) row of max |component| per column
     picked = np.take_along_axis(vecs, idx[:, None, :], axis=1)[:, 0, :]

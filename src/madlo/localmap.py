@@ -9,7 +9,7 @@ capacity, keeping update cost bounded.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,14 +96,3 @@ class LocalMap:
                          key=lambda i: self.keyframes[i].frame_index)
             self.keyframes.pop(oldest)
 
-    def dump_keyframes_csv(self, path) -> None:
-        """frame index, row-major 3x4 pose, det(H) per keyframe."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frame_index"] + [f"p{i}" for i in range(12)] + ["det_h"])
-            for kf in self.keyframes:
-                flat = np.hstack([kf.pose.rotation, kf.pose.translation[:, None]]).ravel()
-                det = float(np.linalg.det(kf.information)) if not kf.degenerate else float("-inf")
-                w.writerow([kf.frame_index] + [repr(float(v)) for v in flat] + [repr(det)])

@@ -13,9 +13,7 @@ so cost stays near O(N log N) with small constants.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +22,12 @@ from .geometry import Isometry3, PointCloud, eig_sym3_batch
 # nodes with fewer points than this cannot estimate a covariance plane and
 # terminate as leaves with an invalid normal unless an ancestor donated one
 MIN_SPLIT_POINTS = 3
+
+# where the six distinct covariance entries (xx, xy, xz, yy, yz, zz) land in
+# the symmetric 3x3 matrix
+_COV_SYM = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+# a one-point node's covariance is exactly zero, so its eigenbasis is fixed
+_SINGLE_POINT_BASIS = eig_sym3_batch(np.zeros((1, 3, 3)))[1][0]
 
 
 @dataclass(frozen=True)
@@ -40,68 +44,6 @@ class TreeParams:
             raise ValueError(f"b_min ({self.b_min}) must be below b_max ({self.b_max})")
 
 
-class KdNode:
-    """Read-only view of one tree node; cheap to create, compares by identity."""
-
-    __slots__ = ("tree", "index")
-
-    def __init__(self, tree: "KdTree", index: int):
-        self.tree = tree
-        self.index = int(index)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.tree.mus[self.index]
-
-    @property
-    def normal(self) -> np.ndarray:
-        return self.tree.normals[self.index]
-
-    @property
-    def direction(self) -> np.ndarray:
-        return self.tree.directions[self.index]
-
-    @property
-    def bbox(self) -> np.ndarray:
-        return self.tree.bboxes[self.index]
-
-    @property
-    def num_points(self) -> int:
-        return int(self.tree.counts[self.index])
-
-    @property
-    def valid_normal(self) -> bool:
-        return bool(self.tree.valid[self.index])
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.tree.left[self.index] < 0
-
-    @property
-    def left(self) -> "KdNode | None":
-        i = self.tree.left[self.index]
-        return None if i < 0 else KdNode(self.tree, i)
-
-    @property
-    def right(self) -> "KdNode | None":
-        i = self.tree.right[self.index]
-        return None if i < 0 else KdNode(self.tree, i)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KdNode)
-            and other.tree is self.tree
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.tree), self.index))
-
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else "node"
-        return f"KdNode({kind} #{self.index}, n_pts={self.num_points})"
-
-
 class KdTree:
     """Struct-of-arrays tree storage; nodes are indexed, root is index 0.
 
@@ -111,14 +53,13 @@ class KdTree:
     """
 
     __slots__ = (
-        "params", "pose_applied", "mus", "normals", "directions", "bboxes",
+        "params", "mus", "normals", "directions", "bboxes",
         "counts", "starts", "valid", "left", "right",
         "point_order", "leaf_ids", "depth",
     )
 
     def __init__(self):
         self.params: TreeParams | None = None
-        self.pose_applied = Isometry3.identity()
 
     @property
     def num_nodes(self) -> int:
@@ -127,10 +68,6 @@ class KdTree:
     @property
     def num_leaves(self) -> int:
         return self.leaf_ids.shape[0]
-
-    @property
-    def root(self) -> KdNode:
-        return KdNode(self, 0)
 
     def leaf_point_indices(self, index: int) -> np.ndarray:
         """Input-cloud row indices owned by node ``index``."""
@@ -176,6 +113,8 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         raise ValueError("cannot build a tree over an empty cloud")
 
     idx = np.arange(n, dtype=np.int64)
+    # one contiguous row per axis keeps every per-point pass a flat loop
+    cols = np.ascontiguousarray(pts.T)
 
     # frontier state for the current level
     lo = np.array([0], dtype=np.int64)
@@ -191,34 +130,42 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     while lo.size:
         f = lo.size
         lengths = hi - lo
-        csum = np.concatenate([[0], np.cumsum(lengths)])
-        starts = csum[:-1]
-        n_act = int(csum[-1])
-        within = np.arange(n_act, dtype=np.int64) - np.repeat(starts, lengths)
-        pos = np.repeat(lo, lengths) + within
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        n_act = int(ends[-1])
+        pos = np.repeat(lo - starts, lengths) + np.arange(n_act, dtype=np.int64)
         act_idx = idx[pos]
-        p = pts[act_idx]
-        seg = np.repeat(np.arange(f, dtype=np.int64), lengths)
+        p = cols[:, act_idx]
 
-        sums = np.add.reduceat(p, starts, axis=0)
-        mu = sums / lengths[:, None]
-        d = p - mu[seg]
-        outer = (d[:, :, None] * d[:, None, :]).reshape(n_act, 9)
-        cov = (np.add.reduceat(outer, starts, axis=0) / lengths[:, None]).reshape(f, 3, 3)
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-        _, vecs = eig_sym3_batch(cov)
+        mu = np.add.reduceat(p, starts, axis=1) / lengths
+        d = p - np.repeat(mu, lengths, axis=1)
+        # covariance from the six distinct products d_i * d_j
+        prods = np.empty((6, n_act))
+        np.multiply(d[0], d, out=prods[0:3])
+        np.multiply(d[1], d[1:], out=prods[3:5])
+        np.multiply(d[2], d[2], out=prods[5])
+        moments = np.add.reduceat(prods, starts, axis=1)
+        cov = (moments / lengths)[_COV_SYM].T.reshape(f, 3, 3)
+        # every one-point node shares the zero matrix's eigenbasis
+        single = lengths == 1
+        vecs = np.empty((f, 3, 3))
+        vecs[single] = _SINGLE_POINT_BASIS
+        vecs[~single] = eig_sym3_batch(cov[~single])[1]
         normal_pca = np.ascontiguousarray(vecs[:, :, 0])
         direction = np.ascontiguousarray(vecs[:, :, 2])
 
-        y = np.einsum("ni,nij->nj", d, vecs[seg])
-        ext = np.maximum.reduceat(y, starts, axis=0) - np.minimum.reduceat(y, starts, axis=0)
-        bbox = np.sort(ext, axis=1)
+        # y[j] = d . vecs[:, j]: the offsets in each node's eigenbasis
+        v = np.repeat(vecs.reshape(f, 9).T, lengths, axis=1)
+        y = d[0] * v[0:3] + d[1] * v[3:6] + d[2] * v[6:9]
+        ext = np.maximum.reduceat(y, starts, axis=1) - np.minimum.reduceat(y, starts, axis=1)
+        bbox = np.sort(ext.T, axis=1)
 
         is_leaf = (bbox[:, 2] < params.b_max) | (lengths < MIN_SPLIT_POINTS)
 
-        proj = np.einsum("ni,ni->n", d, direction[seg])
-        go_right = proj > 0.0
-        nr = np.add.reduceat(go_right.astype(np.int64), starts)
+        # y[2] is direction . (p - mu), the split predicate
+        go_right = y[2] > 0.0
+        right_before = np.concatenate([[0], np.cumsum(go_right)])
+        nr = right_before[ends] - right_before[starts]
         # a split that moves nothing (numerically coincident points) ends here
         is_leaf |= (nr == 0) | (nr == lengths)
         interior = ~is_leaf
@@ -229,7 +176,8 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         valid = interior | inherits | (lengths >= MIN_SPLIT_POINTS)
 
         # stable in-place partition of interior segments, left side first
-        key = seg * 2 + np.where(np.repeat(is_leaf, lengths), False, go_right)
+        key = np.repeat(2 * np.arange(f, dtype=np.int64), lengths)
+        key += np.where(np.repeat(is_leaf, lengths), False, go_right)
         order = np.argsort(key, kind="stable")
         idx[pos] = act_idx[order]
 
@@ -243,7 +191,7 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
             right_ids[interior] = child + 1
             allocated += 2 * n_int
 
-        mus_l.append(mu)
+        mus_l.append(mu.T)
         normals_l.append(normal)
         dirs_l.append(direction)
         bbox_l.append(bbox)
@@ -287,39 +235,10 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     return tree
 
 
-def search_leaf(tree: KdTree, query: np.ndarray) -> KdNode:
-    """Single root-to-leaf descent: right child iff d . (q - mu) > 0."""
-    q = np.asarray(query, dtype=float).reshape(3)
-    i = 0
-    left, right = tree.left, tree.right
-    mus, dirs = tree.mus, tree.directions
-    while left[i] >= 0:
-        dq = q - mus[i]
-        dvec = dirs[i]
-        proj = dvec[0] * dq[0] + dvec[1] * dq[1] + dvec[2] * dq[2]
-        i = right[i] if proj > 0.0 else left[i]
-    return KdNode(tree, i)
-
-
 def transform_tree(tree: KdTree, x: Isometry3) -> None:
     """Rigidly move every node in place; extents are invariant, no rebuild."""
     rt = x.rotation.T
     tree.mus = tree.mus @ rt + x.translation
     tree.normals = tree.normals @ rt
     tree.directions = tree.directions @ rt
-    tree.pose_applied = x @ tree.pose_applied
 
-
-def collect_leaves(tree: KdTree) -> list[KdNode]:
-    """All leaves, left-to-right."""
-    return [KdNode(tree, i) for i in tree.leaf_ids]
-
-
-def dump_leaves_csv(tree: KdTree, path) -> None:
-    """Debug dump: one row per leaf with centroid, normal and point count."""
-    with open(Path(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mu_x", "mu_y", "mu_z", "n_x", "n_y", "n_z", "num_points"])
-        for i in tree.leaf_ids:
-            mu, nrm = tree.mus[i], tree.normals[i]
-            w.writerow([repr(float(v)) for v in (*mu, *nrm)] + [int(tree.counts[i])])

@@ -112,14 +112,15 @@ class SequenceAborted(RuntimeError):
 
 
 def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameOutput:
-    """Advance the odometry by one scan; always yields a pose."""
+    """Advance the odometry by one scan; always yields a pose.
+
+    Stamps must strictly increase from frame to frame.
+    """
     k = state.frame_index
     if stamp is None:
         stamp = k * state.config.scan_period
     if state.trajectory:
         dt = stamp - state.trajectory[-1].stamp
-        if dt <= 0:
-            dt = state.config.scan_period
         guess = predict_pose(state.trajectory[-1].pose, state.velocity, dt)
     else:
         guess = Isometry3.identity()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Isometry3, exp_se3
-from .madtree import KdNode, KdTree, search_leaf
+from .madtree import KdTree
 
 # increment norm below which the solve has converged
 CONVERGENCE_EPSILON = 1e-6
@@ -69,16 +69,9 @@ class DegenerateRegistrationError(Exception):
         self.result = result
 
 
-@dataclass(frozen=True)
-class MatchPair:
-    query: KdNode
-    model: KdNode
-    accepted: bool
-
-
-def gate_radius(mu_q: np.ndarray, b_max: float, b_ratio: float) -> float:
-    """Acceptance radius around a scan leaf with sensor-frame centroid mu_q."""
-    return b_max + float(np.linalg.norm(mu_q)) * b_ratio
+def gate_radius(mu_q: np.ndarray, b_max: float, b_ratio: float) -> np.ndarray:
+    """Acceptance radii around scan leaves with (N, 3) sensor-frame centroids."""
+    return b_max + np.linalg.norm(mu_q, axis=1) * b_ratio
 
 
 def huber_weight(e, rho_ker: float):
@@ -92,32 +85,10 @@ def huber_cost(e, rho_ker: float):
     return np.where(a <= rho_ker, 0.5 * a * a, rho_ker * (a - 0.5 * rho_ker))
 
 
-def associate(query_leaf: KdNode, model_tree: KdTree, pose: Isometry3,
-              params: RegistrationParams = RegistrationParams()) -> MatchPair:
-    """Pair one scan leaf against one model tree under the given pose."""
-    wq = pose.apply(query_leaf.mu)
-    found = search_leaf(model_tree, wq)
-    r = gate_radius(query_leaf.mu, query_leaf.tree.params.b_max, params.b_ratio)
-    accepted = found.valid_normal and float(np.linalg.norm(found.mu - wq)) <= r
-    return MatchPair(query_leaf, found, accepted)
-
-
-def point_to_plane_residual(pair: MatchPair, pose: Isometry3) -> tuple[float, np.ndarray]:
-    """Residual e = n_l . (X mu_q - mu_l) and its 6-row Jacobian.
-
-    Differentiating e(xi) = n_l . (exp(xi) X mu_q - mu_l) at xi = 0 gives
-    n_l for the translational columns and cross(X mu_q, n_l) for the
-    rotational ones.
-    """
-    wq = pose.apply(pair.query.mu)
-    n_l = pair.model.normal
-    e = float(np.dot(n_l, wq - pair.model.mu))
-    jac = np.concatenate([n_l, np.cross(wq, n_l)])
-    return e, jac
-
-
-def _associate_batch(tree: KdTree, wq: np.ndarray, radii: np.ndarray):
-    """Gated association of all query centroids against one model tree."""
+def associate(tree: KdTree, wq: np.ndarray, radii: np.ndarray):
+    """Gated association of (N, 3) world-frame query centroids against one
+    model tree: returns the acceptance mask and the landing leaves' centroids
+    and normals."""
     ids = tree.descend(wq)
     mu_l = tree.mus[ids]
     diff = wq - mu_l
@@ -126,12 +97,22 @@ def _associate_batch(tree: KdTree, wq: np.ndarray, radii: np.ndarray):
     return acc, mu_l, tree.normals[ids]
 
 
+def point_to_plane(wq: np.ndarray, mu_l: np.ndarray, n_l: np.ndarray):
+    """Residuals e = n_l . (X mu_q - mu_l) and their (N, 6) Jacobian rows.
+
+    ``wq`` holds the already transformed centroids X mu_q. Differentiating
+    e(xi) = n_l . (exp(xi) X mu_q - mu_l) at xi = 0 gives n_l for the
+    translational columns and cross(X mu_q, n_l) for the rotational ones.
+    """
+    e = np.einsum("ni,ni->n", n_l, wq - mu_l)
+    jac = np.hstack([n_l, np.cross(wq, n_l)])
+    return e, jac
+
+
 def _accumulate(tree: KdTree, wq: np.ndarray, radii: np.ndarray, rho_ker: float):
-    acc, mu_l, n_l = _associate_batch(tree, wq, radii)
-    wqa, mua, na = wq[acc], mu_l[acc], n_l[acc]
-    e = np.einsum("ni,ni->n", na, wqa - mua)
+    acc, mu_l, n_l = associate(tree, wq, radii)
+    e, jac = point_to_plane(wq[acc], mu_l[acc], n_l[acc])
     w = huber_weight(e, rho_ker)
-    jac = np.hstack([na, np.cross(wqa, na)])
     h = np.einsum("ki,kj->ij", jac * w[:, None], jac)
     b = np.einsum("ki,k->i", jac, w * e)
     cost = float(huber_cost(e, rho_ker).sum())
@@ -158,7 +139,7 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     q_valid = scan.leaf_valid()
     mus_q = scan.leaf_mus()[q_valid]
     n_queries = mus_q.shape[0]
-    radii = scan.params.b_max + np.linalg.norm(mus_q, axis=1) * params.b_ratio
+    radii = gate_radius(mus_q, scan.params.b_max, params.b_ratio)
 
     pose = guess
     h_final = np.zeros((6, 6))

@@ -12,7 +12,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,10 +29,10 @@ from worldsim import (
 from madlo.dataset_io import PointCloud, RunConfig, Trajectory, read_kitti_bin, read_trajectory_kitti
 from madlo.evaluation import RpeConfig, compute_rpe, cumulative_curve
 from madlo.geometry import Isometry3, exp_se3, exp_so3
-from madlo.madtree import build_tree, search_leaf, transform_tree
+from madlo.madtree import build_tree, transform_tree
 from madlo.motion import StampedPose, VelocityEstimate, deskew, estimate_velocity
 from madlo.pipeline import OdometryState, process_frame
-from madlo.registration import MatchPair, RegistrationParams, icp, point_to_plane_residual
+from madlo.registration import RegistrationParams, icp, point_to_plane
 
 KITTI_ENV = "MADLO_KITTI_ROOT"
 
@@ -65,13 +64,27 @@ def report(announce):
 # ----------------------------------------------------------------- oracles
 
 
-def reference_descent(tree, point) -> int:
-    """Independent walk of the split predicate: right iff d . (q - mu) > 0."""
-    node = 0
-    while tree.left[node] >= 0:
-        go_right = float(np.dot(tree.directions[node], point - tree.mus[node])) > 0.0
-        node = int(tree.right[node] if go_right else tree.left[node])
-    return node
+def reference_descent(tree, queries) -> list:
+    """Independent walk of the split predicate: right iff d . (q - mu) > 0.
+
+    One query at a time in plain Python floats; each node is read out of the
+    tree arrays on its first visit.
+    """
+    nodes = {}
+    out = []
+    for x, y, z in np.asarray(queries, dtype=float).tolist():
+        node = 0
+        while True:
+            rec = nodes.get(node)
+            if rec is None:
+                rec = nodes[node] = (int(tree.left[node]), int(tree.right[node]),
+                                     *tree.directions[node].tolist(), *tree.mus[node].tolist())
+            left, right, dx, dy, dz, mx, my, mz = rec
+            if left < 0:
+                break
+            node = right if dx * (x - mx) + dy * (y - my) + dz * (z - mz) > 0.0 else left
+        out.append(node)
+    return out
 
 
 def random_cloud(rng) -> np.ndarray:
@@ -107,10 +120,10 @@ def test_criterion_01_search_matches_reference_descent(report):
         pts = random_cloud(rng)
         tree = build_tree(pts)
         lo, hi = pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0
-        for q in rng.uniform(lo, hi, size=(100, 3)):
-            checked += 1
-            if search_leaf(tree, q).index != reference_descent(tree, q):
-                mismatched += 1
+        queries = rng.uniform(lo, hi, size=(100, 3))
+        want = reference_descent(tree, queries)
+        checked += len(want)
+        mismatched += int(np.count_nonzero(tree.descend(queries) != want))
     elapsed = time.perf_counter() - start
     report(1, mismatched == 0 and elapsed < 30.0,
            f"{checked} queries over 1000 clouds, {mismatched} mismatches, "
@@ -129,13 +142,13 @@ def test_criterion_02_transform_equivariance(report):
         for _ in range(20):
             x = exp_se3(np.concatenate([rng.uniform(-5, 5, 3), rng.normal(size=3)]))
             q = rng.uniform(lo, hi)
-            before = search_leaf(tree, q)
-            idx, mu, normal = before.index, before.mu.copy(), before.normal.copy()
+            idx = tree.descend(q)[0]
+            mu, normal = tree.mus[idx].copy(), tree.normals[idx].copy()
             transform_tree(tree, x)
-            after = search_leaf(tree, x.apply(q))
-            same_leaf &= after.index == idx
-            dev = max(float(np.abs(after.mu - x.apply(mu)).max()),
-                      float(np.abs(after.normal - x.rotation @ normal).max()))
+            after = tree.descend(x.apply(q))[0]
+            same_leaf &= after == idx
+            dev = max(float(np.abs(tree.mus[after] - x.apply(mu)).max()),
+                      float(np.abs(tree.normals[after] - x.rotation @ normal).max()))
             worst = max(worst, dev)
             triples += 1
             transform_tree(tree, x.inverse())
@@ -154,15 +167,19 @@ def test_criterion_03_point_to_plane_jacobian(report):
         n_l /= np.linalg.norm(n_l)
         mu_l = q + rng.normal(scale=0.5, size=3)
         pose = exp_se3(rng.normal(size=6))
-        pair = MatchPair(SimpleNamespace(mu=q), SimpleNamespace(mu=mu_l, normal=n_l), True)
-        _, jac = point_to_plane_residual(pair, pose)
+
+        def residual(x):
+            return point_to_plane(x.apply(q)[None], mu_l[None], n_l[None])
+
+        _, jac = residual(pose)
+        jac = jac[0]
         fd = np.zeros(6)
         for k in range(6):
             d = np.zeros(6)
             d[k] = step
-            ep, _ = point_to_plane_residual(pair, exp_se3(d) @ pose)
-            em, _ = point_to_plane_residual(pair, exp_se3(-d) @ pose)
-            fd[k] = (ep - em) / (2.0 * step)
+            ep, _ = residual(exp_se3(d) @ pose)
+            em, _ = residual(exp_se3(-d) @ pose)
+            fd[k] = (ep[0] - em[0]) / (2.0 * step)
         rel = float(np.abs(fd - jac).max()) / max(1.0, float(np.abs(jac).max()))
         worst = max(worst, rel)
     report(3, worst < 1e-5,

@@ -101,6 +101,30 @@ def test_aborted_run_exits_2_with_partial_outputs(tmp_path):
     assert len((out / "frames.csv").read_text().strip().splitlines()) == 2
 
 
+def test_non_finite_point_is_dropped_and_run_completes(tmp_path):
+    scans = write_room_scans(tmp_path)
+    raw = np.fromfile(scans / "000002.bin", dtype="<f4")
+    raw[0] = np.nan
+    raw.tofile(scans / "000002.bin")
+    out = tmp_path / "out"
+    code = main(["odometry", "--data", str(scans), "--out", str(out),
+                 "--no-deskew", "--threads", "1"])
+    assert code == 0
+    assert len((out / "trajectory.txt").read_text().strip().splitlines()) == 3
+    assert len((out / "frames.csv").read_text().strip().splitlines()) == 4
+
+
+def test_non_increasing_stamps_exit_1_and_write_nothing(tmp_path, capsys):
+    scans = write_room_scans(tmp_path)
+    (scans / "times.txt").write_text("0.0\n0.1\n0.1\n")
+    out = tmp_path / "out"
+    code = main(["odometry", "--data", str(scans), "--out", str(out),
+                 "--no-deskew", "--threads", "1"])
+    assert code == 1
+    assert not out.exists()
+    assert "times.txt:3" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- evaluate
 
 

@@ -69,6 +69,16 @@ def test_kitti_bin_empty_file(tmp_path):
     assert len(read_kitti_bin(path)) == 0
 
 
+def test_kitti_bin_drops_non_finite_points(tmp_path, caplog):
+    path = tmp_path / "s.bin"
+    path.write_bytes(struct.pack("<12f", 1.0, 2.0, 3.0, 0.0,
+                                 float("nan"), 2.0, 3.0, 0.0,
+                                 4.0, float("inf"), 6.0, 0.0))
+    cloud = read_kitti_bin(path)
+    assert np.array_equal(cloud.points, [[1.0, 2.0, 3.0]])
+    assert "dropped 2 non-finite points" in caplog.text
+
+
 def test_kitti_bin_range_filter(tmp_path):
     pts = np.array([
         [0.5, 0.0, 0.0],    # below min
@@ -201,6 +211,20 @@ def test_ply_normalizes_absolute_times(tmp_path):
     (tmp_path / "b.ply").write_bytes(data[:header_len] + table.tobytes())
     back = read_ply(tmp_path / "b.ply")
     assert np.abs(back.rel_times - [0.0, 0.5, 1.0]).max() < 1e-9
+
+
+def test_ply_drops_non_finite_points(tmp_path, caplog):
+    header = ("ply\nformat binary_little_endian 1.0\nelement vertex 4\n"
+              "property double x\nproperty double y\nproperty double z\n"
+              "property double time\nend_header\n")
+    rows = [(1.0, 0.0, 0.0, 10.0), (np.nan, 0.0, 0.0, 11.0),
+            (2.0, 0.0, 0.0, np.inf), (3.0, 0.0, 0.0, 12.0)]
+    body = np.array(rows, dtype="<f8").tobytes()
+    (tmp_path / "s.ply").write_bytes(header.encode("ascii") + body)
+    cloud = read_ply(tmp_path / "s.ply")
+    assert np.array_equal(cloud.points, [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    assert np.array_equal(cloud.rel_times, [0.0, 1.0])
+    assert "dropped 2 non-finite points" in caplog.text
 
 
 def test_ply_rejects_big_endian(tmp_path):
@@ -377,6 +401,15 @@ def test_scan_source_rejects_short_times_file(tmp_path):
     (tmp_path / "times.txt").write_text("0.0\n")
     with pytest.raises(ValueError):
         ScanSource("kitti_bin_dir", tmp_path).stamps()
+
+
+def test_scan_source_rejects_non_increasing_times_file(tmp_path):
+    for k in range(3):
+        write_kitti_bin(tmp_path / f"{k:06d}.bin", PointCloud(np.full((1, 3), 5.0)))
+    for text in ("0.0\n0.1\n0.1\n", "0.0\n0.2\n0.1\n", "0.0\n0.1\nnan\n"):
+        (tmp_path / "times.txt").write_text(text)
+        with pytest.raises(ValueError, match=r"times\.txt:3"):
+            ScanSource("kitti_bin_dir", tmp_path).stamps()
 
 
 def test_scan_source_reads_and_filters(tmp_path):

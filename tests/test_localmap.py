@@ -157,20 +157,3 @@ def test_selection_is_order_invariant():
         m2.push_candidate(f)
     assert m1.select_best() is m2.select_best()
 
-
-def test_dump_keyframes_csv(tmp_path):
-    import csv
-
-    rng = np.random.default_rng(73)
-    m = LocalMap()
-    m.install(kf(rng, 0))
-    m.install(kf(rng, 7))
-    path = tmp_path / "keyframes.csv"
-    m.dump_keyframes_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 3
-    assert rows[1][0] == "0" and rows[2][0] == "7"
-    # identity pose row-major 3x4: r00 at offset 1, t_x at offset 4
-    assert float(rows[1][1]) == 1.0 and float(rows[1][4]) == 0.0
-    assert float(rows[1][13]) > 0.0  # det(H) of a PSD information matrix

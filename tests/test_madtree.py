@@ -7,21 +7,11 @@ propagation in one shot.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import pytest
 
-from madlo.geometry import Isometry3, exp_se3
-from madlo.madtree import (
-    KdTree,
-    TreeParams,
-    build_tree,
-    collect_leaves,
-    dump_leaves_csv,
-    search_leaf,
-    transform_tree,
-)
+from madlo.geometry import Isometry3, PointCloud, exp_se3
+from madlo.madtree import KdTree, TreeParams, build_tree, transform_tree
 
 
 # ---------------------------------------------------------------- oracles
@@ -110,10 +100,10 @@ def test_flat_plane_leaf_normals():
     pts = np.column_stack([rng.uniform(0, 1, 100), rng.uniform(0, 1, 100), np.zeros(100)])
     tree = build_tree(pts)
     assert tree.num_leaves > 1
-    for leaf in collect_leaves(tree):
-        assert leaf.valid_normal
-        assert abs(abs(leaf.normal[2]) - 1.0) < 1e-6
-        assert np.abs(leaf.normal[:2]).max() < 1e-6
+    assert tree.leaf_valid().all()
+    normals = tree.leaf_normals()
+    assert np.abs(np.abs(normals[:, 2]) - 1.0).max() < 1e-6
+    assert np.abs(normals[:, :2]).max() < 1e-6
 
 
 def test_leaf_pca_matches_svd_oracle():
@@ -145,18 +135,56 @@ def test_tiny_cluster_is_single_leaf():
     pts = np.array([[0.0, 0.0, 0.0], [0.03, 0.01, 0.0], [0.0, 0.02, 0.04]])
     tree = build_tree(pts)
     assert tree.num_leaves == 1
-    leaf = tree.root
-    assert leaf.is_leaf
-    assert np.abs(leaf.mu - pts.mean(axis=0)).max() < 1e-12
-    assert leaf.valid_normal
+    assert tree.left[0] < 0
+    assert np.abs(tree.mus[0] - pts.mean(axis=0)).max() < 1e-12
+    assert tree.valid[0]
 
 
 def test_two_distant_points_leaf_despite_extent():
     pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     tree = build_tree(pts)
     assert tree.num_leaves == 1
-    assert not tree.root.valid_normal
-    assert tree.root.num_points == 2
+    assert not tree.valid[0]
+    assert tree.counts[0] == 2
+
+
+def test_tree_root_single_point():
+    tree = build_tree(np.array([[1.0, 2.0, 3.0]]))
+    assert np.array_equal(tree.mus[0], [1.0, 2.0, 3.0])
+    assert np.array_equal(tree.bboxes[0], np.zeros(3))
+
+
+def test_tree_root_rejects_empty():
+    # the array form is in test_build_rejects_empty_and_nan
+    with pytest.raises(ValueError, match="empty"):
+        build_tree(PointCloud(np.zeros((0, 3))))
+
+
+def test_tree_root_two_point_hand_case():
+    # points (0,0,0) and (2,0,0): mean (1,0,0), all spread along x
+    tree = build_tree(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+    assert np.array_equal(tree.mus[0], [1.0, 0.0, 0.0])
+    assert np.array_equal(tree.directions[0], [1.0, 0.0, 0.0])
+    assert np.array_equal(tree.bboxes[0], [0.0, 0.0, 2.0])
+
+
+def test_tree_root_matches_two_pass_oracle():
+    rng = np.random.default_rng(18)
+    pts = rng.normal(scale=4.0, size=(500, 3)) + np.array([10.0, -40.0, 3.0])
+    tree = build_tree(pts)
+    mu_o = np.zeros(3)
+    for p in pts:
+        mu_o += p
+    mu_o /= len(pts)
+    cov_o = np.zeros((3, 3))
+    for p in pts:
+        d = p - mu_o
+        cov_o += np.outer(d, d)
+    cov_o /= len(pts)
+    vecs = eig_ref(cov_o)
+    assert np.abs(tree.mus[0] - mu_o).max() < 1e-10
+    assert np.abs(tree.normals[0] - vecs[:, 0]).max() < 1e-9
+    assert np.abs(tree.directions[0] - vecs[:, 2]).max() < 1e-9
 
 
 def test_parallel_planes_never_share_a_leaf():
@@ -178,7 +206,7 @@ def test_flat_slab_propagates_root_normal_everywhere():
         [rng.uniform(0, 2, 800), rng.uniform(0, 2, 800), rng.uniform(0, 0.02, 800)]
     )
     tree = build_tree(pts)
-    assert not tree.root.is_leaf
+    assert tree.left[0] >= 0
     assert tree.bboxes[0, 0] < tree.params.b_min
     root_n = tree.normals[0]
     for leaf_id in tree.leaf_ids:
@@ -194,16 +222,14 @@ def test_search_well_separated_clusters():
     centers = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
     pts = np.vstack([c + rng.normal(0, 0.03, size=(40, 3)) for c in centers])
     tree = build_tree(pts)
-    for leaf in collect_leaves(tree):
-        found = search_leaf(tree, leaf.mu)
-        assert found == leaf
+    assert np.array_equal(tree.descend(tree.leaf_mus()), tree.leaf_ids)
 
 
 def test_search_single_leaf_tree():
     pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])
     tree = build_tree(pts)
-    for q in ([0, 0, 0], [100, -3, 9], [-1e6, 0, 0]):
-        assert search_leaf(tree, np.array(q, dtype=float)) == tree.root
+    queries = np.array([[0, 0, 0], [100, -3, 9], [-1e6, 0, 0]], dtype=float)
+    assert np.array_equal(tree.descend(queries), np.zeros(3, dtype=np.int64))
 
 
 def test_search_matches_descent_oracle():
@@ -213,17 +239,15 @@ def test_search_matches_descent_oracle():
     queries = rng.uniform(-5.0, 5.0, size=(1000, 3))
     batch = tree.descend(queries)
     for k, q in enumerate(queries):
-        want = oracle_descend(tree, q)
-        assert search_leaf(tree, q).index == want
-        assert int(batch[k]) == want
+        assert int(batch[k]) == oracle_descend(tree, q)
 
 
 def test_descent_is_deterministic():
     rng = np.random.default_rng(38)
     pts = random_scene(rng, 500)
     tree = build_tree(pts)
-    q = rng.uniform(-5, 5, size=3)
-    assert search_leaf(tree, q).index == search_leaf(tree, q).index
+    q = rng.uniform(-5, 5, size=(50, 3))
+    assert np.array_equal(tree.descend(q), tree.descend(q))
 
 
 # ------------------------------------------------------------- transform
@@ -248,8 +272,7 @@ def test_transform_round_trip():
     assert np.array_equal(tree.bboxes, bboxes)  # extents are rigid invariants
     transform_tree(tree, x.inverse())
     assert np.abs(tree.mus - mus).max() < 1e-9
-    for leaf in collect_leaves(tree):
-        assert abs(np.linalg.norm(leaf.normal) - 1.0) < 1e-9
+    assert np.abs(np.linalg.norm(tree.leaf_normals(), axis=1) - 1.0).max() < 1e-9
 
 
 def test_search_equivariance_under_rigid_motion():
@@ -259,9 +282,9 @@ def test_search_equivariance_under_rigid_motion():
         tree = build_tree(pts)
         x = exp_se3(rng.normal(size=6))
         q = rng.uniform(-5, 5, size=3)
-        before = search_leaf(tree, q).mu.copy()
+        before = tree.mus[tree.descend(q)[0]].copy()
         transform_tree(tree, x)
-        after = search_leaf(tree, x.apply(q)).mu
+        after = tree.mus[tree.descend(x.apply(q))[0]]
         assert np.abs(after - x.apply(before)).max() < 1e-9
 
 
@@ -333,16 +356,3 @@ def test_build_rejects_empty_and_nan():
     with pytest.raises(ValueError):
         build_tree(np.array([[np.nan, 0.0, 0.0]]))
 
-
-def test_leaf_csv_dump(tmp_path):
-    rng = np.random.default_rng(47)
-    tree = build_tree(random_scene(rng, 300))
-    path = tmp_path / "leaves.csv"
-    dump_leaves_csv(tree, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["mu_x", "mu_y", "mu_z", "n_x", "n_y", "n_z", "num_points"]
-    assert len(rows) - 1 == tree.num_leaves
-    first = tree.leaf_ids[0]
-    assert float(rows[1][0]) == tree.mus[first][0]
-    assert int(rows[1][6]) == int(tree.counts[first])

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from madlo.geometry import Isometry3, exp_se3, exp_so3
-from madlo.madtree import TreeParams, build_tree, collect_leaves, transform_tree
+from madlo.madtree import TreeParams, build_tree, transform_tree
 from madlo.registration import (
     DegenerateRegistrationError,
-    MatchPair,
     RegistrationParams,
     associate,
     gate_radius,
     huber_weight,
     icp,
-    point_to_plane_residual,
+    point_to_plane,
 )
 from worldsim import random_small_isometry, room_cloud, rotation_angle_deg
 
@@ -37,9 +36,8 @@ def room():
 
 
 def test_gate_radius_values():
-    assert gate_radius(np.zeros(3), 0.2, 0.02) == pytest.approx(0.2)
-    assert gate_radius(np.array([10.0, 0.0, 0.0]), 0.2, 0.02) == pytest.approx(0.4)
-    assert gate_radius(np.array([0.0, 100.0, 0.0]), 0.2, 0.02) == pytest.approx(2.2)
+    mu_q = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
+    assert gate_radius(mu_q, 0.2, 0.02) == pytest.approx([0.2, 0.4, 2.2])
 
 
 def test_huber_weight_values():
@@ -49,23 +47,26 @@ def test_huber_weight_values():
     assert huber_weight(-0.2, 0.1) == pytest.approx(0.5)
 
 
+def valid_leaf_mus(tree):
+    return tree.leaf_mus()[tree.leaf_valid()]
+
+
 def test_associate_identity_self_match(room):
     pts, tree = room
     scan = build_tree(pts)
-    for leaf in collect_leaves(scan)[::50]:
-        if not leaf.valid_normal:
-            continue
-        pair = associate(leaf, tree, Isometry3.identity())
-        assert pair.accepted
-        assert np.abs(pair.model.mu - leaf.mu).max() < 1e-12
+    mus_q = valid_leaf_mus(scan)[::50]
+    acc, mu_l, _ = associate(tree, mus_q, gate_radius(mus_q, 0.2, 0.02))
+    assert acc.all()
+    assert np.abs(mu_l - mus_q).max() < 1e-12
 
 
 def test_associate_rejects_far_query(room):
     pts, tree = room
     scan = build_tree(pts)
-    shove = Isometry3(np.eye(3), np.array([500.0, 0.0, 0.0]))
-    leaf = next(l for l in collect_leaves(scan) if l.valid_normal)
-    assert not associate(leaf, tree, shove).accepted
+    mus_q = valid_leaf_mus(scan)[:1]
+    wq = mus_q + np.array([500.0, 0.0, 0.0])
+    acc, _, _ = associate(tree, wq, gate_radius(mus_q, 0.2, 0.02))
+    assert not acc.any()
 
 
 def test_associate_matches_brute_replay(room):
@@ -73,27 +74,28 @@ def test_associate_matches_brute_replay(room):
     rng = np.random.default_rng(52)
     scan = build_tree(pts)
     params = RegistrationParams()
-    leaves = [l for l in collect_leaves(scan) if l.valid_normal]
+    leaves = valid_leaf_mus(scan)
     pick = rng.choice(len(leaves), size=500, replace=False)
     pose = random_small_isometry(rng, 3.0, 0.3)
-    for k in pick:
-        leaf = leaves[int(k)]
-        pair = associate(leaf, tree, pose)
-        wq = pose.apply(leaf.mu)
-        want_idx = oracle_descend_index(tree, wq)
-        r = 0.2 + np.linalg.norm(leaf.mu) * params.b_ratio
-        want_acc = bool(tree.valid[want_idx]) and np.linalg.norm(tree.mus[want_idx] - wq) <= r
-        assert pair.model.index == want_idx
-        assert pair.accepted == want_acc
+    mus_q = leaves[pick]
+    wq = pose.apply(mus_q)
+    acc, mu_l, n_l = associate(tree, wq, gate_radius(mus_q, 0.2, params.b_ratio))
+    for k in range(len(pick)):
+        want_idx = oracle_descend_index(tree, wq[k])
+        r = 0.2 + np.linalg.norm(mus_q[k]) * params.b_ratio
+        want_acc = bool(tree.valid[want_idx]) and np.linalg.norm(tree.mus[want_idx] - wq[k]) <= r
+        assert np.array_equal(mu_l[k], tree.mus[want_idx])
+        assert np.array_equal(n_l[k], tree.normals[want_idx])
+        assert acc[k] == want_acc
 
 
 def test_residual_zero_at_coincidence(room):
     pts, tree = room
-    leaf = next(l for l in collect_leaves(tree) if l.valid_normal)
-    pair = MatchPair(leaf, leaf, True)
-    e, jac = point_to_plane_residual(pair, Isometry3.identity())
-    assert abs(e) < 1e-12
-    assert np.abs(jac[:3] - leaf.normal).max() < 1e-12
+    valid = tree.leaf_valid()
+    mu, normal = tree.leaf_mus()[valid][:1], tree.leaf_normals()[valid][:1]
+    e, jac = point_to_plane(mu, mu, normal)
+    assert abs(e[0]) < 1e-12
+    assert np.abs(jac[0, :3] - normal[0]).max() < 1e-12
 
 
 def test_residual_hand_case():
@@ -102,31 +104,35 @@ def test_residual_hand_case():
     model = build_tree(pts_m)
     pts_q = pts_m + np.array([0.3, 0.0, 0.0])
     query = build_tree(pts_q)
-    pair = associate(query.root, model, Isometry3.identity())
-    e, jac = point_to_plane_residual(pair, Isometry3.identity())
-    assert e == pytest.approx(0.3, abs=1e-12)
-    assert np.abs(jac[:3] - np.array([1.0, 0.0, 0.0])).max() < 1e-9
+    _, mu_l, n_l = associate(model, query.mus[:1], gate_radius(query.mus[:1], 0.2, 0.02))
+    e, jac = point_to_plane(query.mus[:1], mu_l, n_l)
+    assert e[0] == pytest.approx(0.3, abs=1e-12)
+    assert np.abs(jac[0, :3] - np.array([1.0, 0.0, 0.0])).max() < 1e-9
 
 
 def test_jacobian_matches_central_differences(room):
     pts, tree = room
     rng = np.random.default_rng(53)
-    leaves = [l for l in collect_leaves(tree) if l.valid_normal]
+    valid = tree.leaf_valid()
+    mus, normals = tree.leaf_mus()[valid], tree.leaf_normals()[valid]
     step = 1e-6
-    for _ in range(300):
-        leaf = leaves[int(rng.integers(len(leaves)))]
-        model_leaf = leaves[int(rng.integers(len(leaves)))]
-        pose = random_small_isometry(rng, 20.0, 2.0)
-        pair = MatchPair(leaf, model_leaf, True)
-        e0, jac = point_to_plane_residual(pair, pose)
-        fd = np.zeros(6)
-        for k in range(6):
-            d = np.zeros(6)
-            d[k] = step
-            ep, _ = point_to_plane_residual(pair, exp_se3(d) @ pose)
-            em, _ = point_to_plane_residual(pair, exp_se3(-d) @ pose)
-            fd[k] = (ep - em) / (2.0 * step)
-        assert np.linalg.norm(fd - jac) < 1e-5 * max(1.0, np.linalg.norm(jac))
+    q = mus[rng.integers(len(mus), size=300)]
+    m = rng.integers(len(mus), size=300)
+    mu_l, n_l = mus[m], normals[m]
+    poses = [random_small_isometry(rng, 20.0, 2.0) for _ in range(300)]
+
+    def residuals(deltas):
+        wq = np.array([(exp_se3(d) @ x).apply(p) for d, x, p in zip(deltas, poses, q)])
+        return point_to_plane(wq, mu_l, n_l)
+
+    _, jac = residuals(np.zeros((300, 6)))
+    fd = np.zeros((300, 6))
+    for k in range(6):
+        d = np.zeros((300, 6))
+        d[:, k] = step
+        fd[:, k] = (residuals(d)[0] - residuals(-d)[0]) / (2.0 * step)
+    for i in range(300):
+        assert np.linalg.norm(fd[i] - jac[i]) < 1e-5 * max(1.0, np.linalg.norm(jac[i]))
 
 
 # ------------------------------------------------------------------- icp
