@@ -28,7 +28,6 @@ from .dataset_io import (
 from .evaluation import RpeConfig, compute_rpe, cumulative_curve, curve_csv, rpe_report_csv
 from .pipeline import FRAME_LOG_HEADER, SequenceAborted, run_sequence, validate_config
 
-THREADS_ENV = "MAD_LO_THREADS"
 _FORMAT_KINDS = {"kitti": "kitti_bin_dir", "ply": "ply_dir"}
 
 
@@ -51,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     od.add_argument("--config", help="key = value config file")
     od.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override one config key (repeatable)")
-    od.add_argument("--threads", type=int,
-                    help=f"worker threads (falls back to ${THREADS_ENV})")
     od.add_argument("--time-budget-ms", type=float, dest="time_budget_ms",
                     help="per-frame registration time budget")
     od.add_argument("--no-deskew", action="store_true", help="disable motion compensation")
@@ -81,24 +78,7 @@ def parse_lengths(spec: str) -> tuple:
     return tuple(lengths)
 
 
-def resolve_threads(flag_value, config: RunConfig, environ=os.environ) -> int:
-    """--threads beats the environment beats the config file."""
-    if flag_value is not None:
-        value = flag_value
-    elif THREADS_ENV in environ:
-        try:
-            value = int(environ[THREADS_ENV])
-        except ValueError:
-            raise ValueError(f"${THREADS_ENV} must be an integer, "
-                             f"got {environ[THREADS_ENV]!r}") from None
-    else:
-        return config.threads
-    if value < 1:
-        raise ValueError("thread count must be at least 1")
-    return value
-
-
-def build_run_config(args, environ=os.environ) -> RunConfig:
+def build_run_config(args) -> RunConfig:
     config = parse_config(args.config) if args.config else RunConfig()
     for item in args.set:
         if "=" not in item:
@@ -110,7 +90,7 @@ def build_run_config(args, environ=os.environ) -> RunConfig:
             "time_budget_ms", str(args.time_budget_ms)))
     if args.no_deskew:
         config = replace(config, deskew=False)
-    return replace(config, threads=resolve_threads(args.threads, config, environ))
+    return config
 
 
 def _atomic_write_text(path: Path, text: str) -> None:

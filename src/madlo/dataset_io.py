@@ -10,6 +10,7 @@ with 17 significant digits so write/read round trips are exact.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -331,7 +332,7 @@ class RunConfig:
     p_th: float = 0.8
     rho_ker: float = 0.1
     n: int = 10
-    threads: int = 8
+    threads: int = 1  # accepted and ignored: registration runs on one thread
     max_iterations: int = 15
     time_budget_ms: float | None = None
     min_range: float = 1.0
@@ -385,6 +386,22 @@ def parse_config(path) -> RunConfig:
 # ------------------------------------------------------------ scan source
 
 
+def _read_stamps(path: Path) -> list:
+    """(stamp, line number) for every token of a times file; each must be a
+    finite number."""
+    stamped = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for tok in line.split():
+            try:
+                value = float(tok)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: stamp {tok!r} is not a finite number")
+            stamped.append((value, lineno))
+    return stamped
+
+
 @dataclass
 class ScanSource:
     """A directory of scans read in sorted filename order.
@@ -423,9 +440,7 @@ class ScanSource:
     def stamps(self) -> list:
         for candidate in (self.path / "times.txt", self.path.parent / "times.txt"):
             if candidate.is_file():
-                lines = candidate.read_text().splitlines()
-                stamped = [(float(tok), lineno) for lineno, line in enumerate(lines, 1)
-                           for tok in line.split()][: len(self.files)]
+                stamped = _read_stamps(candidate)[: len(self.files)]
                 if len(stamped) < len(self.files):
                     raise ValueError(
                         f"{candidate}: {len(stamped)} stamps for {len(self.files)} scans"

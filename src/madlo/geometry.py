@@ -227,7 +227,7 @@ class PointCloud:
             rt = np.asarray(self.rel_times, dtype=float).reshape(-1)
             if rt.shape[0] != pts.shape[0]:
                 raise ValueError("rel_times length must match points")
-            if rt.size and (rt.min() < 0.0 or rt.max() > 1.0):
+            if not ((rt >= 0.0) & (rt <= 1.0)).all():  # NaN fails both
                 raise ValueError("rel_times must lie in [0, 1]")
             object.__setattr__(self, "rel_times", rt)
 

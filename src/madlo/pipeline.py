@@ -160,8 +160,7 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
 
     fallback = False
     try:
-        result = icp(state.local_map.trees(), tree, guess, state.reg_params,
-                     workers=state.config.threads)
+        result = icp(state.local_map.trees(), tree, guess, state.reg_params)
         pose = result.pose
     except DegenerateRegistrationError as err:
         result = err.result

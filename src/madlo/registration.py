@@ -12,13 +12,12 @@ Huber-reweighted Gauss-Newton on SE(3) with a left-multiplied increment; the
 6x6 system matrix doubles as the information matrix of the estimate and is
 what keyframe selection consumes downstream.
 
-Model trees are processed independently and reduced in tree order, so the
-result is reproducible bit for bit under any worker count.
+Model trees are processed one after another and reduced in tree order, so
+the result is reproducible bit for bit.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,8 +120,7 @@ def _accumulate(tree: KdTree, wq: np.ndarray, radii: np.ndarray, rho_ker: float)
 
 
 def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
-        params: RegistrationParams = RegistrationParams(),
-        workers: int = 1) -> RegistrationResult:
+        params: RegistrationParams = RegistrationParams()) -> RegistrationResult:
     """Align a scan tree against the model forest starting from ``guess``.
 
     Anytime: stops on convergence, iteration cap, or time budget, whichever
@@ -148,48 +146,41 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     iterations = 0
     cost_history: list[float] = []
     start = time.perf_counter()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and len(model) > 1 else None
 
-    try:
-        while True:
-            if params.max_iterations is not None and iterations >= params.max_iterations:
-                break
-            if params.time_budget is not None and time.perf_counter() - start >= params.time_budget:
-                break
+    while True:
+        if params.max_iterations is not None and iterations >= params.max_iterations:
+            break
+        if params.time_budget is not None and time.perf_counter() - start >= params.time_budget:
+            break
 
-            wq = pose.apply(mus_q) if n_queries else mus_q
-            work = lambda t: _accumulate(t, wq, radii, params.rho_ker)  # noqa: E731
-            parts = list(pool.map(work, model)) if pool else [work(t) for t in model]
+        wq = pose.apply(mus_q) if n_queries else mus_q
+        h = np.zeros((6, 6))
+        b = np.zeros(6)
+        matched = np.zeros(n_queries, dtype=bool)
+        cost = 0.0
+        abs_sum = 0.0
+        n_acc = 0
+        for tree in model:  # fixed tree order: deterministic
+            ht, bt, acc, ct, at, na = _accumulate(tree, wq, radii, params.rho_ker)
+            h += ht
+            b += bt
+            matched |= acc
+            cost += ct
+            abs_sum += at
+            n_acc += na
 
-            h = np.zeros((6, 6))
-            b = np.zeros(6)
-            matched = np.zeros(n_queries, dtype=bool)
-            cost = 0.0
-            abs_sum = 0.0
-            n_acc = 0
-            for ht, bt, acc, ct, at, na in parts:  # fixed tree order: deterministic
-                h += ht
-                b += bt
-                matched |= acc
-                cost += ct
-                abs_sum += at
-                n_acc += na
+        h_final = h
+        mean_error = abs_sum / n_acc if n_acc else 0.0
+        cost_history.append(cost)
+        iterations += 1
 
-            h_final = h
-            mean_error = abs_sum / n_acc if n_acc else 0.0
-            cost_history.append(cost)
-            iterations += 1
-
-            trace = float(np.trace(h))
-            if trace <= 0.0:
-                break
-            xi = np.linalg.solve(h + (params.damping * trace / 6.0) * np.eye(6), -b)
-            pose = exp_se3(xi) @ pose
-            if float(np.linalg.norm(xi)) < CONVERGENCE_EPSILON:
-                break
-    finally:
-        if pool:
-            pool.shutdown(wait=False)
+        trace = float(np.trace(h))
+        if trace <= 0.0:
+            break
+        xi = np.linalg.solve(h + (params.damping * trace / 6.0) * np.eye(6), -b)
+        pose = exp_se3(xi) @ pose
+        if float(np.linalg.norm(xi)) < CONVERGENCE_EPSILON:
+            break
 
     p = float(matched.sum()) / n_queries if n_queries else 0.0
     result = RegistrationResult(

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from worldsim import big_room_panels, scan_cloud
 
-from madlo.cli import build_run_config, main, parse_lengths, resolve_threads
+from madlo.cli import build_run_config, main, parse_lengths
 from madlo.dataset_io import (
-    RunConfig,
     Trajectory,
     write_kitti_bin,
     write_trajectory_kitti,
@@ -46,7 +45,7 @@ def test_odometry_smoke(tmp_path, capsys):
     scans = write_room_scans(tmp_path)
     out = tmp_path / "out"
     code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 "--no-deskew", "--threads", "1"])
+                 "--no-deskew"])
     assert code == 0
     traj_lines = (out / "trajectory.txt").read_text().strip().splitlines()
     assert len(traj_lines) == 3
@@ -60,9 +59,10 @@ def test_odometry_smoke(tmp_path, capsys):
 
 def test_unknown_flag_exits_1_and_writes_nothing(tmp_path):
     out = tmp_path / "out"
-    code = main(["odometry", "--data", str(tmp_path), "--out", str(out), "--bogus"])
-    assert code == 1
-    assert not out.exists()
+    for flag in (["--bogus"], ["--threads", "2"]):
+        code = main(["odometry", "--data", str(tmp_path), "--out", str(out), *flag])
+        assert code == 1, flag
+        assert not out.exists(), flag
 
 
 def test_bad_parameter_value_exits_1_and_writes_nothing(tmp_path, capsys):
@@ -95,7 +95,7 @@ def test_aborted_run_exits_2_with_partial_outputs(tmp_path):
     (scans / "000001.bin").write_bytes(b"\x00" * 19)
     out = tmp_path / "out"
     code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 "--no-deskew", "--threads", "1"])
+                 "--no-deskew"])
     assert code == 2
     assert len((out / "trajectory.txt").read_text().strip().splitlines()) == 1
     assert len((out / "frames.csv").read_text().strip().splitlines()) == 2
@@ -108,7 +108,7 @@ def test_non_finite_point_is_dropped_and_run_completes(tmp_path):
     raw.tofile(scans / "000002.bin")
     out = tmp_path / "out"
     code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 "--no-deskew", "--threads", "1"])
+                 "--no-deskew"])
     assert code == 0
     assert len((out / "trajectory.txt").read_text().strip().splitlines()) == 3
     assert len((out / "frames.csv").read_text().strip().splitlines()) == 4
@@ -116,13 +116,14 @@ def test_non_finite_point_is_dropped_and_run_completes(tmp_path):
 
 def test_non_increasing_stamps_exit_1_and_write_nothing(tmp_path, capsys):
     scans = write_room_scans(tmp_path)
-    (scans / "times.txt").write_text("0.0\n0.1\n0.1\n")
     out = tmp_path / "out"
-    code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 "--no-deskew", "--threads", "1"])
-    assert code == 1
-    assert not out.exists()
-    assert "times.txt:3" in capsys.readouterr().err
+    for text in ("0.0\n0.1\n0.1\n", "0.0\n0.1\ninf\n", "0.0\n0.1\nabc\n"):
+        (scans / "times.txt").write_text(text)
+        code = main(["odometry", "--data", str(scans), "--out", str(out),
+                     "--no-deskew"])
+        assert code == 1
+        assert not out.exists()
+        assert "times.txt:3" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- evaluate
@@ -181,23 +182,12 @@ def test_parse_lengths():
             parse_lengths(bad)
 
 
-def test_resolve_threads_precedence():
-    cfg = RunConfig(threads=8)
-    assert resolve_threads(None, cfg, environ={}) == 8
-    assert resolve_threads(None, cfg, environ={"MAD_LO_THREADS": "3"}) == 3
-    assert resolve_threads(2, cfg, environ={"MAD_LO_THREADS": "3"}) == 2
-    with pytest.raises(ValueError):
-        resolve_threads(None, cfg, environ={"MAD_LO_THREADS": "lots"})
-    with pytest.raises(ValueError):
-        resolve_threads(0, cfg, environ={})
-
-
 def test_build_config_precedence(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("b_max = 0.5\nthreads = 2\n")
     args = argparse.Namespace(config=str(cfg_file), set=["b_max=0.3", "n=4"],
-                              time_budget_ms=12.5, no_deskew=True, threads=None)
-    cfg = build_run_config(args, environ={})
+                              time_budget_ms=12.5, no_deskew=True)
+    cfg = build_run_config(args)
     assert cfg.b_max == 0.3      # --set beats the file
     assert cfg.n == 4
     assert cfg.threads == 2      # file beats the default
@@ -208,6 +198,6 @@ def test_build_config_precedence(tmp_path):
 
 def test_build_config_rejects_bad_set():
     args = argparse.Namespace(config=None, set=["b_max"], time_budget_ms=None,
-                              no_deskew=False, threads=None)
+                              no_deskew=False)
     with pytest.raises(ValueError):
-        build_run_config(args, environ={})
+        build_run_config(args)

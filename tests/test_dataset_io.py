@@ -331,7 +331,7 @@ def test_config_defaults():
     cfg = RunConfig()
     assert (cfg.b_max, cfg.b_min, cfg.b_ratio) == (0.2, 0.1, 0.02)
     assert (cfg.p_th, cfg.rho_ker, cfg.n) == (0.8, 0.1, 10)
-    assert (cfg.threads, cfg.max_iterations) == (8, 15)
+    assert (cfg.threads, cfg.max_iterations) == (1, 15)
     assert cfg.time_budget_ms is None
     assert (cfg.min_range, cfg.max_range, cfg.scan_period) == (1.0, 120.0, 0.1)
     assert cfg.deskew is True
@@ -406,7 +406,8 @@ def test_scan_source_rejects_short_times_file(tmp_path):
 def test_scan_source_rejects_non_increasing_times_file(tmp_path):
     for k in range(3):
         write_kitti_bin(tmp_path / f"{k:06d}.bin", PointCloud(np.full((1, 3), 5.0)))
-    for text in ("0.0\n0.1\n0.1\n", "0.0\n0.2\n0.1\n", "0.0\n0.1\nnan\n"):
+    for text in ("0.0\n0.1\n0.1\n", "0.0\n0.2\n0.1\n", "0.0\n0.1\nnan\n",
+                 "0.0\n0.1\ninf\n", "0.0\n0.1\nabc\n"):
         (tmp_path / "times.txt").write_text(text)
         with pytest.raises(ValueError, match=r"times\.txt:3"):
             ScanSource("kitti_bin_dir", tmp_path).stamps()

@@ -269,5 +269,7 @@ def test_point_cloud_validation():
         PointCloud(np.zeros((2, 3)), rel_times=np.array([0.0]))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((2, 3)), rel_times=np.array([0.0, 1.5]))
+    with pytest.raises(ValueError):
+        PointCloud(np.zeros((2, 3)), rel_times=np.array([np.nan, 0.5]))
     cloud = PointCloud(np.zeros((4, 3)), rel_times=np.linspace(0.0, 1.0, 4))
     assert len(cloud) == 4
