@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -68,8 +69,8 @@ def parse_lengths(spec: str) -> tuple:
         a, b, s = (float(tok) for tok in spec.split(":"))
     except ValueError:
         raise ValueError(f"--lengths expects A:B:S, got {spec!r}") from None
-    if s <= 0 or a <= 0 or b < a:
-        raise ValueError(f"--lengths needs 0 < A <= B and S > 0, got {spec!r}")
+    if not (0 < a <= b < math.inf and 0 < s < math.inf):  # NaN fails too
+        raise ValueError(f"--lengths needs finite 0 < A <= B and S > 0, got {spec!r}")
     lengths = []
     v = a
     while v <= b + 1e-9:
@@ -86,8 +87,7 @@ def build_run_config(args) -> RunConfig:
         key, raw = (part.strip() for part in item.split("=", 1))
         config = replace(config, **{key: coerce_config_value(key, raw)})
     if args.time_budget_ms is not None:
-        config = replace(config, time_budget_ms=coerce_config_value(
-            "time_budget_ms", str(args.time_budget_ms)))
+        config = replace(config, time_budget_ms=args.time_budget_ms)
     if args.no_deskew:
         config = replace(config, deskew=False)
     return config

@@ -3,9 +3,9 @@
 Supported inputs are KITTI velodyne ``.bin`` files (packed little-endian
 float32 x, y, z, intensity) and PLY point clouds (ascii or
 binary_little_endian, vertex element only). Trajectories are read and
-written in the KITTI pose format (12 floats per line, row-major upper 3x4)
-and the TUM format (timestamp tx ty tz qx qy qz qw). Floats are printed
-with 17 significant digits so write/read round trips are exact.
+written in the KITTI pose format (12 floats per line, row-major upper 3x4).
+Floats are printed with 17 significant digits so write/read round trips
+are exact.
 """
 from __future__ import annotations
 
@@ -57,13 +57,11 @@ def _drop_non_finite(path, points: np.ndarray, times: np.ndarray | None = None):
     return points[keep], None if times is None else times[keep]
 
 
-def write_kitti_bin(path, cloud: PointCloud, intensities=None) -> None:
-    """Write a cloud as packed float32 (x, y, z, intensity) records."""
-    n = len(cloud)
-    rec = np.zeros((n, 4), dtype="<f4")
+def write_kitti_bin(path, cloud: PointCloud) -> None:
+    """Write a cloud as packed float32 (x, y, z, intensity) records, with
+    zero intensity."""
+    rec = np.zeros((len(cloud), 4), dtype="<f4")
     rec[:, :3] = cloud.points
-    if intensities is not None:
-        rec[:, 3] = intensities
     rec.tofile(path)
 
 
@@ -152,6 +150,8 @@ def read_ply(path) -> PointCloud:
             if tokens[1] != "vertex" or count is not None:
                 raise ValueError(f"{path}: only a single vertex element is supported")
             count = int(tokens[2])
+            if count < 0:
+                raise ValueError(f"{path}: negative vertex count {count}")
         elif tokens[0] == "property":
             if tokens[1] == "list":
                 raise ValueError(f"{path}: list properties are not supported")
@@ -255,70 +255,6 @@ def read_trajectory_kitti(path) -> Trajectory:
     return Trajectory(poses)
 
 
-def _quat_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) for a rotation matrix, w >= 0."""
-    d = np.diagonal(r)
-    choices = np.array([d[0] + d[1] + d[2], d[0] - d[1] - d[2],
-                        d[1] - d[0] - d[2], d[2] - d[0] - d[1]])
-    case = int(np.argmax(choices))
-    s = 2.0 * np.sqrt(1.0 + choices[case])
-    if case == 0:
-        q = np.array([0.25 * s,
-                      (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    elif case == 1:
-        q = np.array([(r[2, 1] - r[1, 2]) / s,
-                      0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      (r[0, 2] + r[2, 0]) / s])
-    elif case == 2:
-        q = np.array([(r[0, 2] - r[2, 0]) / s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s,
-                      (r[1, 2] + r[2, 1]) / s])
-    else:
-        q = np.array([(r[1, 0] - r[0, 1]) / s,
-                      (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s,
-                      0.25 * s])
-    q /= np.linalg.norm(q)
-    return -q if q[0] < 0.0 else q
-
-
-def _rotation_from_quat(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def write_trajectory_tum(traj: Trajectory, path) -> None:
-    """One line per pose: timestamp tx ty tz qx qy qz qw."""
-    lines = []
-    for sp in traj:
-        w, x, y, z = _quat_from_rotation(sp.pose.rotation)
-        vals = [sp.stamp, *sp.pose.translation, x, y, z, w]
-        lines.append(" ".join(FLOAT_FORMAT % v for v in vals))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_trajectory_tum(path) -> Trajectory:
-    poses = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines()):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 8:
-            raise ValueError(f"{path}:{lineno + 1}: expected 8 values, got {len(tokens)}")
-        stamp, tx, ty, tz, qx, qy, qz, qw = (float(t) for t in tokens)
-        rot = _rotation_from_quat(np.array([qw, qx, qy, qz]))
-        poses.append(StampedPose(Isometry3(rot, np.array([tx, ty, tz])), stamp))
-    return Trajectory(poses)
-
-
 # ----------------------------------------------------------- configuration
 
 
@@ -342,7 +278,6 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
-CONFIG_KEYS = tuple(_CONFIG_FIELDS)
 
 
 def coerce_config_value(key: str, raw: str):
@@ -354,13 +289,8 @@ def coerce_config_value(key: str, raw: str):
         if raw not in ("on", "off"):
             raise ValueError(f"deskew must be 'on' or 'off', got {raw!r}")
         return raw == "on"
-    if key == "time_budget_ms":
-        if raw.lower() in ("none", ""):
-            return None
-        value = float(raw)
-        if value <= 0:
-            raise ValueError("time_budget_ms must be positive")
-        return value
+    if key == "time_budget_ms" and raw.lower() in ("none", ""):
+        return None
     if key in ("n", "threads", "max_iterations"):
         return int(raw)
     return float(raw)
@@ -426,7 +356,7 @@ class ScanSource:
             raise ValueError(f"unknown scan source kind {self.kind!r}")
         if not 0.0 <= self.min_range < self.max_range:
             raise ValueError(f"invalid range band [{self.min_range}, {self.max_range}]")
-        if self.scan_period <= 0:
+        if not self.scan_period > 0:  # NaN fails too
             raise ValueError("scan_period must be positive")
         self.path = Path(self.path)
         if not self.path.is_dir():

@@ -119,15 +119,6 @@ def cumulative_curve(errors, max_err=10.0, resolution=0.01):
     return curve, auc
 
 
-def aggregate_errors(per_dataset: dict):
-    """(mean of per-dataset means, flat mean over every sequence error)."""
-    if not per_dataset or any(len(v) == 0 for v in per_dataset.values()):
-        raise ValueError("every dataset needs at least one sequence error")
-    means = [float(np.mean(v)) for v in per_dataset.values()]
-    flat = float(np.mean(np.concatenate([np.asarray(v, float) for v in per_dataset.values()])))
-    return float(np.mean(means)), flat
-
-
 def rpe_report_csv(report: RpeReport) -> str:
     lines = ["length,mean_err_pct"]
     lines += [f"{length:g},{err:.17g}" for length, err in sorted(report.per_length.items())]

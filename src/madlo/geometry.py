@@ -104,11 +104,6 @@ class Isometry3:
     def identity(cls) -> "Isometry3":
         return cls()
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Isometry3":
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -154,29 +149,12 @@ def _v_matrix(theta: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * w + b * (w @ w)
 
 
-def _v_matrix_inv(theta: np.ndarray) -> np.ndarray:
-    t = float(np.linalg.norm(theta))
-    w = skew(theta)
-    if t < 1e-5:
-        return np.eye(3) - 0.5 * w + (w @ w) / 12.0
-    half = 0.5 * t
-    c = (1.0 - half * np.cos(half) / np.sin(half)) / (t * t)
-    return np.eye(3) - 0.5 * w + c * (w @ w)
-
-
 def exp_se3(xi) -> Isometry3:
     """Twist to rigid transform: R = exp(theta), t = V(theta) @ rho."""
     v = np.asarray(xi, dtype=float).reshape(6)
     rho, theta = v[:3], v[3:]
     r = exp_so3(theta)
     return Isometry3(r, _v_matrix(theta) @ rho, _trusted=True)
-
-
-def log_se3(x: Isometry3) -> np.ndarray:
-    """Inverse of exp_se3 as a 6-vector (rho, theta); rotation norm in [0, pi]."""
-    theta = log_so3(x.rotation)
-    rho = _v_matrix_inv(theta) @ x.translation
-    return np.concatenate([rho, theta])
 
 
 def exp_se3_batch(rhos: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

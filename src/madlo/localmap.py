@@ -16,8 +16,10 @@ import numpy as np
 from .geometry import Isometry3
 from .madtree import KdTree
 
-DEFAULT_CAPACITY = 8
-DEFAULT_QUEUE_LIMIT = 64
+# keyframes kept in the forest; the oldest beyond this is evicted
+CAPACITY = 8
+# candidates waiting for promotion; the oldest beyond this is dropped
+QUEUE_LIMIT = 64
 
 
 @dataclass
@@ -43,13 +45,9 @@ def _score(kf: Keyframe) -> float:
 class LocalMap:
     """Bounded keyframe forest plus the candidate queue feeding it."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 queue_limit: int = DEFAULT_QUEUE_LIMIT):
-        if capacity < 1 or queue_limit < 1:
-            raise ValueError("capacity and queue_limit must be >= 1")
-        self.capacity = capacity
+    def __init__(self):
         self.keyframes: list[Keyframe] = []
-        self.candidates: deque[Keyframe] = deque(maxlen=queue_limit)
+        self.candidates: deque[Keyframe] = deque(maxlen=QUEUE_LIMIT)
 
     def trees(self) -> list[KdTree]:
         return [kf.tree for kf in self.keyframes]
@@ -91,7 +89,7 @@ class LocalMap:
         return True
 
     def _evict(self) -> None:
-        while len(self.keyframes) > self.capacity:
+        while len(self.keyframes) > CAPACITY:
             oldest = min(range(len(self.keyframes)),
                          key=lambda i: self.keyframes[i].frame_index)
             self.keyframes.pop(oldest)

@@ -44,7 +44,7 @@ def validate_config(config: RunConfig) -> None:
         raise ValueError(f"velocity window n must be >= 2, got {config.n}")
     if config.threads < 1:
         raise ValueError(f"threads must be >= 1, got {config.threads}")
-    if config.scan_period <= 0.0:
+    if not config.scan_period > 0.0:  # NaN fails too
         raise ValueError(f"scan_period must be positive, got {config.scan_period}")
     if not 0.0 <= config.min_range < config.max_range:
         raise ValueError("need 0 <= min_range < max_range, got "
@@ -211,8 +211,3 @@ def run_sequence(source: ScanSource, config: RunConfig, on_frame=None):
         if on_frame is not None:
             on_frame(out)
     return Trajectory(state.trajectory), outputs
-
-
-def frame_log_csv(outputs) -> str:
-    lines = [FRAME_LOG_HEADER] + [out.csv_row() for out in outputs]
-    return "\n".join(lines) + "\n"

@@ -27,6 +27,8 @@ from .madtree import KdTree
 
 # increment norm below which the solve has converged
 CONVERGENCE_EPSILON = 1e-6
+# Levenberg term added to the diagonal of H, scaled by trace(H)/6
+DAMPING = 1e-6
 # information-matrix condition number beyond which the solve is declared
 # unobservable (flat or feature-starved geometry)
 CONDITION_LIMIT = 1e12
@@ -38,11 +40,12 @@ class RegistrationParams:
     rho_ker: float = 0.1         # Huber kernel width, meters
     max_iterations: int | None = 15
     time_budget: float | None = None  # seconds, anytime cutoff
-    damping: float = 1e-6        # Levenberg term, scaled by trace(H)/6
 
     def __post_init__(self):
-        if self.b_ratio <= 0.0 or self.rho_ker <= 0.0 or self.damping < 0.0:
-            raise ValueError("b_ratio and rho_ker must be positive, damping non-negative")
+        if not (self.b_ratio > 0.0 and self.rho_ker > 0.0):  # NaN fails too
+            raise ValueError("b_ratio and rho_ker must be positive")
+        if self.time_budget is not None and not self.time_budget > 0.0:
+            raise ValueError("time_budget must be positive")
         if self.max_iterations is None and self.time_budget is None:
             raise ValueError("need max_iterations or time_budget to terminate")
 
@@ -177,7 +180,7 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
         trace = float(np.trace(h))
         if trace <= 0.0:
             break
-        xi = np.linalg.solve(h + (params.damping * trace / 6.0) * np.eye(6), -b)
+        xi = np.linalg.solve(h + (DAMPING * trace / 6.0) * np.eye(6), -b)
         pose = exp_se3(xi) @ pose
         if float(np.linalg.norm(xi)) < CONVERGENCE_EPSILON:
             break

@@ -15,6 +15,7 @@ from madlo.dataset_io import (
 )
 from madlo.geometry import Isometry3, exp_se3
 from madlo.motion import StampedPose
+from madlo.pipeline import FRAME_LOG_HEADER
 
 
 def write_room_scans(tmp_path, n_frames=3, n_points=1500, seed=130):
@@ -52,7 +53,11 @@ def test_odometry_smoke(tmp_path, capsys):
     assert traj_lines[0] == "1 0 0 0 0 1 0 0 0 0 1 0"
     log_lines = (out / "frames.csv").read_text().strip().splitlines()
     assert len(log_lines) == 4
-    assert log_lines[0].startswith("frame,")
+    assert log_lines[0] == FRAME_LOG_HEADER
+    rows = [line.split(",") for line in log_lines[1:]]
+    assert all(len(row) == 8 for row in rows)
+    assert rows[0][0] == "0" and rows[0][-1] == "0"
+    assert float(rows[0][5]) == 1.0  # bootstrap matched fraction
     assert not list(out.glob("*.tmp"))
     assert "wrote" in capsys.readouterr().out
 
@@ -68,9 +73,12 @@ def test_unknown_flag_exits_1_and_writes_nothing(tmp_path):
 def test_bad_parameter_value_exits_1_and_writes_nothing(tmp_path, capsys):
     scans = write_room_scans(tmp_path, 3)
     out = tmp_path / "out"
-    for bad in ("b_max=-1", "p_th=0", "min_range=200", "n=1"):
-        code = main(["odometry", "--data", str(scans), "--out", str(out),
-                     "--set", bad])
+    bad_args = [["--set", value] for value in (
+        "b_max=-1", "p_th=0", "min_range=200", "n=1", "b_ratio=nan", "rho_ker=nan",
+        "scan_period=nan", "time_budget_ms=nan", "time_budget_ms=0", "time_budget_ms=-5")]
+    bad_args += [["--time-budget-ms", "nan"], ["--time-budget-ms", "0"]]
+    for bad in bad_args:
+        code = main(["odometry", "--data", str(scans), "--out", str(out), *bad])
         assert code == 1, bad
         assert not out.exists(), bad
         assert "usage" in capsys.readouterr().err
@@ -177,7 +185,8 @@ def test_parse_lengths():
     assert parse_lengths("100:800:100") == tuple(float(v) for v in range(100, 900, 100))
     assert parse_lengths("10:80:10") == tuple(float(v) for v in range(10, 90, 10))
     assert parse_lengths("5:5:1") == (5.0,)
-    for bad in ("5:1:1", "0:10:1", "1:10:0", "abc", "1:2"):
+    for bad in ("5:1:1", "0:10:1", "1:10:0", "abc", "1:2", "100:800:nan",
+                "100:inf:100", "nan:800:100", "100:800:inf"):
         with pytest.raises(ValueError):
             parse_lengths(bad)
 

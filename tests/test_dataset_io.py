@@ -10,22 +10,18 @@ from madlo.dataset_io import (
     RunConfig,
     ScanSource,
     Trajectory,
-    _quat_from_rotation,
-    _rotation_from_quat,
     coerce_config_value,
     filter_range,
     parse_config,
     read_kitti_bin,
     read_ply,
     read_trajectory_kitti,
-    read_trajectory_tum,
     synthesize_rel_times,
     write_kitti_bin,
     write_ply,
     write_trajectory_kitti,
-    write_trajectory_tum,
 )
-from madlo.geometry import Isometry3, PointCloud, exp_se3, exp_so3
+from madlo.geometry import Isometry3, PointCloud, exp_se3
 from madlo.motion import StampedPose
 
 
@@ -235,6 +231,17 @@ def test_ply_rejects_big_endian(tmp_path):
         read_ply(tmp_path / "b.ply")
 
 
+def test_ply_rejects_negative_vertex_count(tmp_path):
+    header = ("ply\nformat {} 1.0\nelement vertex -1\n"
+              "property double x\nproperty double y\nproperty double z\nend_header\n")
+    bodies = {"binary_little_endian": np.arange(6, dtype="<f8").tobytes(),
+              "ascii": b"0 1 2\n3 4 5\n"}
+    for fmt, body in bodies.items():
+        (tmp_path / "n.ply").write_bytes(header.format(fmt).encode() + body)
+        with pytest.raises(ValueError, match="negative vertex count"):
+            read_ply(tmp_path / "n.ply")
+
+
 def test_ply_rejects_list_property(tmp_path):
     text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
             "property list uchar int vertex_indices\nend_header\n")
@@ -284,38 +291,6 @@ def test_kitti_trajectory_rejects_short_line(tmp_path):
     (tmp_path / "t.txt").write_text("1 0 0 0 0 1 0 0 0 0 1\n")
     with pytest.raises(ValueError):
         read_trajectory_kitti(tmp_path / "t.txt")
-
-
-def test_quaternion_helpers_match_axis_angle_oracle():
-    rng = np.random.default_rng(97)
-    for _ in range(300):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(1e-4, np.pi - 1e-4)
-        rot = exp_so3(angle * axis)
-        q_ref = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
-        assert np.abs(_rotation_from_quat(q_ref) - rot).max() < 1e-12
-        assert np.abs(_quat_from_rotation(rot) - q_ref).max() < 1e-12
-
-
-def test_tum_trajectory_round_trip(tmp_path):
-    rng = np.random.default_rng(98)
-    traj = random_trajectory(rng, 100)
-    write_trajectory_tum(traj, tmp_path / "t.txt")
-    back = read_trajectory_tum(tmp_path / "t.txt")
-    assert len(back) == 100
-    for a, b in zip(traj, back):
-        assert a.stamp == b.stamp
-        assert np.array_equal(a.pose.translation, b.pose.translation)
-        assert np.abs(a.pose.rotation - b.pose.rotation).max() < 1e-12
-
-
-def test_tum_reader_skips_comment_lines(tmp_path):
-    (tmp_path / "t.txt").write_text("# ts tx ty tz qx qy qz qw\n"
-                                    "0.5 1 2 3 0 0 0 1\n")
-    back = read_trajectory_tum(tmp_path / "t.txt")
-    assert len(back) == 1
-    assert np.array_equal(back[0].pose.translation, [1.0, 2.0, 3.0])
 
 
 def test_trajectory_rejects_decreasing_stamps():
@@ -438,3 +413,6 @@ def test_scan_source_validation(tmp_path):
         ScanSource("kitti_bin_dir", tmp_path / "missing")
     with pytest.raises(ValueError):
         ScanSource("kitti_bin_dir", tmp_path, min_range=10.0, max_range=1.0)
+    for period in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            ScanSource("kitti_bin_dir", tmp_path, scan_period=period)

@@ -7,7 +7,6 @@ import pytest
 from madlo.dataset_io import Trajectory
 from madlo.evaluation import (
     RpeConfig,
-    aggregate_errors,
     compute_rpe,
     cumulative_curve,
     curve_csv,
@@ -216,22 +215,6 @@ def test_curve_validation():
         cumulative_curve([])
     with pytest.raises(ValueError):
         cumulative_curve([1.0, -0.5])
-
-
-# ----------------------------------------------------------- aggregation
-
-
-def test_aggregate_per_dataset_mean_and_flat_mean():
-    per_dataset, flat = aggregate_errors({"a": [1.0, 3.0], "b": [5.0]})
-    assert per_dataset == 3.5
-    assert flat == 3.0
-
-
-def test_aggregate_rejects_empty_dataset():
-    with pytest.raises(ValueError):
-        aggregate_errors({"a": []})
-    with pytest.raises(ValueError):
-        aggregate_errors({})
 
 
 # -------------------------------------------------------------------- CSV

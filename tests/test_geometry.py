@@ -16,7 +16,6 @@ from madlo.geometry import (
     exp_se3,
     exp_se3_batch,
     exp_so3,
-    log_se3,
     log_so3,
     skew,
 )
@@ -149,19 +148,6 @@ def test_log_so3_rejects_non_orthonormal():
     r[0, 1] = 1e-3
     with pytest.raises(ValueError):
         log_so3(r)
-
-
-def test_exp_log_round_trip():
-    rng = np.random.default_rng(14)
-    worst = 0.0
-    for _ in range(1000):
-        rho = rng.uniform(-10.0, 10.0, size=3)
-        theta = rng.normal(size=3)
-        theta *= rng.uniform(0.0, 3.0) / np.linalg.norm(theta)
-        xi = np.concatenate([rho, theta])
-        back = log_se3(exp_se3(xi))
-        worst = max(worst, float(np.abs(back - xi).max()))
-    assert worst < 1e-9
 
 
 def test_exp_se3_batch_matches_scalar():

@@ -28,7 +28,7 @@ def kf(rng, frame, information=None, degenerate=False):
 
 def test_candidate_queue_is_bounded():
     rng = np.random.default_rng(61)
-    m = LocalMap(queue_limit=64)
+    m = LocalMap()
     frames = [kf(rng, i) for i in range(100)]
     for f in frames:
         m.push_candidate(f)
@@ -64,7 +64,7 @@ def test_select_best_prefers_larger_determinant():
 
 def test_select_best_matches_lu_determinant_oracle():
     rng = np.random.default_rng(65)
-    m = LocalMap(queue_limit=64)
+    m = LocalMap()
     frames = []
     for i in range(30):
         a = rng.normal(size=(6, 6)) * rng.uniform(0.5, 3.0)
@@ -123,7 +123,7 @@ def test_maybe_update_empty_queue():
 
 def test_capacity_eviction_drops_oldest():
     rng = np.random.default_rng(70)
-    m = LocalMap(capacity=8)
+    m = LocalMap()
     for i in range(8):
         m.install(kf(rng, i))
     m.push_candidate(kf(rng, 99))

@@ -8,10 +8,8 @@ from worldsim import big_room_panels, panel, rotation_angle_deg, sample_panels, 
 from madlo.dataset_io import PointCloud, RunConfig, ScanSource, write_kitti_bin, write_trajectory_kitti
 from madlo.geometry import Isometry3
 from madlo.pipeline import (
-    FRAME_LOG_HEADER,
     OdometryState,
     SequenceAborted,
-    frame_log_csv,
     process_frame,
     run_sequence,
     validate_config,
@@ -38,10 +36,13 @@ def corridor_poses(n, step=0.2):
 
 def test_validate_config_rejects_unusable_values():
     validate_config(config())
+    nan = float("nan")
     bad = [dict(b_max=-1.0), dict(b_min=0.3), dict(b_ratio=0.0), dict(rho_ker=-0.1),
            dict(p_th=0.0), dict(p_th=1.5), dict(n=1), dict(threads=0),
            dict(scan_period=0.0), dict(min_range=200.0), dict(min_range=-1.0),
-           dict(max_iterations=0)]
+           dict(max_iterations=0), dict(b_ratio=nan), dict(rho_ker=nan),
+           dict(scan_period=nan), dict(time_budget_ms=nan), dict(time_budget_ms=0.0),
+           dict(time_budget_ms=-5.0)]
     for overrides in bad:
         with pytest.raises(ValueError):
             validate_config(config(**overrides))
@@ -137,21 +138,6 @@ def test_time_budget_stops_iterating_early():
     out = process_frame(state, scan_cloud(rng, panels, room_pose(), n=4000))
     assert out.iterations <= 2
     assert not out.fallback
-
-
-def test_frame_log_csv_shape():
-    rng = np.random.default_rng(126)
-    state = OdometryState.initial(config())
-    outs = [process_frame(state, scan_cloud(rng, big_room_panels(), room_pose(), n=2000))
-            for _ in range(2)]
-    text = frame_log_csv(outs)
-    lines = text.strip().splitlines()
-    assert lines[0] == FRAME_LOG_HEADER
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert len(first) == 8
-    assert first[0] == "0" and first[-1] == "0"
-    assert float(first[5]) == 1.0  # bootstrap matched fraction
 
 
 # ---------------------------------------------------------- run_sequence

@@ -264,7 +264,10 @@ def test_icp_multi_tree_matches_single_tree_reduction(room):
 
 
 def test_registration_params_validation():
-    with pytest.raises(ValueError):
-        RegistrationParams(b_ratio=0.0)
+    nan = float("nan")
+    for bad in (dict(b_ratio=0.0), dict(b_ratio=nan), dict(rho_ker=-0.1), dict(rho_ker=nan),
+                dict(time_budget=0.0), dict(time_budget=-0.005), dict(time_budget=nan)):
+        with pytest.raises(ValueError):
+            RegistrationParams(**bad)
     with pytest.raises(ValueError):
         RegistrationParams(max_iterations=None, time_budget=None)
