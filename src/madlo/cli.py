@@ -30,6 +30,9 @@ from .evaluation import RpeConfig, compute_rpe, cumulative_curve, curve_csv, rpe
 from .pipeline import FRAME_LOG_HEADER, SequenceAborted, run_sequence, validate_config
 
 _FORMAT_KINDS = {"kitti": "kitti_bin_dir", "ply": "ply_dir"}
+# each RPE length is one pass over the trajectory; a spec asking for more
+# than this is a typo, and an unbounded one would exhaust memory
+MAX_LENGTHS = 1000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +77,11 @@ def parse_lengths(spec: str) -> tuple:
     lengths = []
     v = a
     while v <= b + 1e-9:
+        if len(lengths) == MAX_LENGTHS:
+            raise ValueError(f"--lengths gives more than {MAX_LENGTHS} lengths, got {spec!r}")
         lengths.append(v)
+        if v + s == v:
+            raise ValueError(f"--lengths step S does not advance past {v:g}, got {spec!r}")
         v += s
     return tuple(lengths)
 

@@ -47,6 +47,11 @@ class TreeParams:
 class KdTree:
     """Struct-of-arrays tree storage; nodes are indexed, root is index 0.
 
+    Every child is numbered after its parent, and a right child right after
+    its left sibling; a leaf's ``left`` and ``right`` are -1. ``mus`` and
+    ``directions`` are (N, 3) and column-major, so ``descend`` reads each
+    axis as one contiguous column.
+
     ``point_order`` is the build permutation of the input cloud: node i owns
     the contiguous slice ``point_order[starts[i] : starts[i] + counts[i]]``.
     Leaves keep only statistics, never the raw points.
@@ -85,17 +90,25 @@ class KdTree:
         return self.valid[self.leaf_ids]
 
     def descend(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized root-to-leaf descent; returns a node index per query."""
+        """Vectorized root-to-leaf descent; returns a node index per query.
+
+        Every query takes exactly ``depth`` steps over the per-axis node
+        columns. By the node numbering (see the class docstring),
+        ``left + 1`` is the right child and ``maximum`` holds a query that
+        has reached its leaf, whose children are -1.
+        """
         q = np.asarray(queries, dtype=float).reshape(-1, 3)
+        qx, qy, qz = np.ascontiguousarray(q.T)
+        m0, m1, m2 = self.mus.T
+        d0, d1, d2 = self.directions.T
+        left = self.left
         cur = np.zeros(q.shape[0], dtype=np.int64)
-        while True:
-            li = self.left[cur]
-            act = li >= 0
-            if not act.any():
-                return cur
-            ca = cur[act]
-            proj = np.einsum("ni,ni->n", self.directions[ca], q[act] - self.mus[ca])
-            cur[act] = np.where(proj > 0.0, self.right[ca], li[act])
+        for _ in range(self.depth):
+            proj = d0.take(cur) * (qx - m0.take(cur))
+            proj += d1.take(cur) * (qy - m1.take(cur))
+            proj += d2.take(cur) * (qz - m2.take(cur))
+            cur = np.maximum(left.take(cur) + (proj > 0.0), cur)
+        return cur
 
 
 def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
@@ -152,7 +165,6 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         vecs[single] = _SINGLE_POINT_BASIS
         vecs[~single] = eig_sym3_batch(cov[~single])[1]
         normal_pca = np.ascontiguousarray(vecs[:, :, 0])
-        direction = np.ascontiguousarray(vecs[:, :, 2])
 
         # y[j] = d . vecs[:, j]: the offsets in each node's eigenbasis
         v = np.repeat(vecs.reshape(f, 9).T, lengths, axis=1)
@@ -191,9 +203,9 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
             right_ids[interior] = child + 1
             allocated += 2 * n_int
 
-        mus_l.append(mu.T)
+        mus_l.append(mu)
         normals_l.append(normal)
-        dirs_l.append(direction)
+        dirs_l.append(np.ascontiguousarray(vecs[:, :, 2].T))
         bbox_l.append(bbox)
         counts_l.append(lengths)
         starts_l.append(lo)
@@ -218,9 +230,10 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
 
     tree = KdTree()
     tree.params = params
-    tree.mus = np.concatenate(mus_l)
+    # (3, N) rows transposed: column-major (N, 3), one contiguous column per axis
+    tree.mus = np.concatenate(mus_l, axis=1).T
     tree.normals = np.concatenate(normals_l)
-    tree.directions = np.concatenate(dirs_l)
+    tree.directions = np.concatenate(dirs_l, axis=1).T
     tree.bboxes = np.concatenate(bbox_l)
     tree.counts = np.concatenate(counts_l)
     tree.starts = np.concatenate(starts_l)
@@ -238,7 +251,10 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
 def transform_tree(tree: KdTree, x: Isometry3) -> None:
     """Rigidly move every node in place; extents are invariant, no rebuild."""
     rt = x.rotation.T
-    tree.mus = tree.mus @ rt + x.translation
+    # empty_like keeps the column-major layout that descend reads
+    mus = np.matmul(tree.mus, rt, out=np.empty_like(tree.mus))
+    mus += x.translation
+    tree.mus = mus
     tree.normals = tree.normals @ rt
-    tree.directions = tree.directions @ rt
+    tree.directions = np.matmul(tree.directions, rt, out=np.empty_like(tree.directions))
 

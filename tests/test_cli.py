@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from worldsim import big_room_panels, scan_cloud
 
-from madlo.cli import build_run_config, main, parse_lengths
+from madlo.cli import MAX_LENGTHS, build_run_config, main, parse_lengths
 from madlo.dataset_io import (
     Trajectory,
     write_kitti_bin,
@@ -185,10 +185,30 @@ def test_parse_lengths():
     assert parse_lengths("100:800:100") == tuple(float(v) for v in range(100, 900, 100))
     assert parse_lengths("10:80:10") == tuple(float(v) for v in range(10, 90, 10))
     assert parse_lengths("5:5:1") == (5.0,)
+    assert parse_lengths("0.1:0.3:0.1") == (0.1, 0.2, 0.30000000000000004)
+    assert len(parse_lengths(f"1:{MAX_LENGTHS}:1")) == MAX_LENGTHS
     for bad in ("5:1:1", "0:10:1", "1:10:0", "abc", "1:2", "100:800:nan",
                 "100:inf:100", "nan:800:100", "100:800:inf"):
         with pytest.raises(ValueError):
             parse_lengths(bad)
+    # a step below the spacing of floats at A never advances
+    with pytest.raises(ValueError, match="does not advance"):
+        parse_lengths("1e17:1e17:1")
+    for too_many in (f"1:{MAX_LENGTHS + 1}:1", "1:1e12:1"):
+        with pytest.raises(ValueError, match="more than"):
+            parse_lengths(too_many)
+
+
+@pytest.mark.parametrize("spec", ["1e17:1e17:1", "1:1e12:1"])
+def test_evaluate_unbounded_lengths_exit_1_and_write_nothing(tmp_path, capsys, spec):
+    path = tmp_path / "t.txt"
+    write_walk_trajectory(path)
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--est", str(path), "--gt", str(path),
+                 "--lengths", spec, "--out", str(out)])
+    assert code == 1
+    assert "usage" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_config_precedence(tmp_path):

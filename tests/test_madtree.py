@@ -242,6 +242,28 @@ def test_search_matches_descent_oracle():
         assert int(batch[k]) == oracle_descend(tree, q)
 
 
+def test_search_ties_go_left():
+    # (0,0,0), (1,0,0), (3,0,0): the root splits along +x at mean 4/3; the
+    # left child holds the first two points, the right child the third
+    tree = build_tree(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+    assert tree.num_nodes == 3 and np.array_equal(tree.directions[0], [1.0, 0.0, 0.0])
+    mu = tree.mus[0]
+    q = np.array([mu, mu + [1e-12, 0.0, 0.0], mu - [1e-12, 0.0, 0.0]])
+    assert np.array_equal(tree.descend(q), [tree.left[0], tree.right[0], tree.left[0]])
+
+
+def test_search_queries_on_interior_centroids_match_oracle():
+    # a query on an interior node's centroid projects to exactly 0 there
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        tree = build_tree(random_scene(rng, 600))
+        queries = tree.mus[tree.left >= 0]
+        assert len(queries) > 10
+        batch = tree.descend(queries)
+        for k, q in enumerate(queries):
+            assert int(batch[k]) == oracle_descend(tree, q)
+
+
 def test_descent_is_deterministic():
     rng = np.random.default_rng(38)
     pts = random_scene(rng, 500)
@@ -275,6 +297,34 @@ def test_transform_round_trip():
     assert np.abs(np.linalg.norm(tree.leaf_normals(), axis=1) - 1.0).max() < 1e-9
 
 
+def test_transform_matches_row_major_products_bitwise():
+    rng = np.random.default_rng(48)
+    tree = build_tree(random_scene(rng, 400))
+    mus = np.ascontiguousarray(tree.mus)
+    dirs = np.ascontiguousarray(tree.directions)
+    x = exp_se3(np.array([3.0, -1.0, 0.25, -0.4, 0.7, 1.9]))
+    transform_tree(tree, x)
+    rt = x.rotation.T
+    assert np.array_equal(tree.mus, mus @ rt + x.translation)
+    assert np.array_equal(tree.directions, dirs @ rt)
+    # descend reads them by column, before and after a move
+    assert tree.mus.flags.f_contiguous and tree.directions.flags.f_contiguous
+    assert build_tree(random_scene(rng, 50)).mus.flags.f_contiguous
+
+
+def test_search_on_moved_tree_matches_oracle():
+    rng = np.random.default_rng(49)
+    tree = build_tree(random_scene(rng, 800))
+    queries = rng.uniform(-5.0, 5.0, size=(500, 3))
+    x = exp_se3(np.array([0.5, 2.0, -1.0, 0.2, -0.6, 0.4]))
+    for move in (x, x.inverse()):
+        transform_tree(tree, move)
+        queries = move.apply(queries)
+        batch = tree.descend(queries)
+        for k, q in enumerate(queries):
+            assert int(batch[k]) == oracle_descend(tree, q)
+
+
 def test_search_equivariance_under_rigid_motion():
     rng = np.random.default_rng(41)
     for _ in range(100):
@@ -299,6 +349,20 @@ def test_leaves_partition_the_cloud():
     assert len(seen) == len(pts)
     assert np.array_equal(np.sort(seen), np.arange(len(pts)))
     assert int(tree.counts[tree.leaf_ids].sum()) == len(pts)
+
+
+def test_children_are_numbered_after_their_parent():
+    # descend's fixed-depth walk relies on this numbering
+    rng = np.random.default_rng(50)
+    for _ in range(10):
+        tree = build_tree(random_scene(rng, int(rng.integers(5, 1500))))
+        nodes = np.arange(tree.num_nodes)
+        interior = tree.left >= 0
+        assert np.all(tree.left[interior] > nodes[interior])
+        assert np.all(tree.right[interior] > nodes[interior])
+        assert np.array_equal(tree.right[interior], tree.left[interior] + 1)
+        assert np.all(tree.left[~interior] == -1)
+        assert np.all(tree.right[~interior] == -1)
 
 
 def test_build_is_deterministic():
