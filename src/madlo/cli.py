@@ -18,6 +18,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# Hold the BLAS and OpenMP pools at one thread, as the benchmark does, unless
+# the user set them: the pipeline's (N, 3) @ (3, 3) products stall in a
+# multi-threaded pool. This must run before the first import of numpy.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .dataset_io import (
     RunConfig,
     ScanSource,

@@ -89,13 +89,18 @@ class KdTree:
     def leaf_valid(self) -> np.ndarray:
         return self.valid[self.leaf_ids]
 
-    def descend(self, queries: np.ndarray) -> np.ndarray:
+    def descend(self, queries: np.ndarray, margin: np.ndarray | None = None) -> np.ndarray:
         """Vectorized root-to-leaf descent; returns a node index per query.
 
         Every query takes exactly ``depth`` steps over the per-axis node
         columns. By the node numbering (see the class docstring),
         ``left + 1`` is the right child and ``maximum`` holds a query that
         has reached its leaf, whose children are -1.
+
+        Given an (N,) float array ``margin``, also writes into it each
+        query's smallest ``|d . (q - mu)|`` over the interior nodes of its
+        path (inf for a one-leaf tree): a query that moves by less, give or
+        take rounding (``registration.CACHE_SLACK``), keeps its leaf.
         """
         q = np.asarray(queries, dtype=float).reshape(-1, 3)
         qx, qy, qz = np.ascontiguousarray(q.T)
@@ -103,11 +108,17 @@ class KdTree:
         d0, d1, d2 = self.directions.T
         left = self.left
         cur = np.zeros(q.shape[0], dtype=np.int64)
+        if margin is not None:
+            margin.fill(np.inf)
         for _ in range(self.depth):
             proj = d0.take(cur) * (qx - m0.take(cur))
             proj += d1.take(cur) * (qy - m1.take(cur))
             proj += d2.take(cur) * (qz - m2.take(cur))
-            cur = np.maximum(left.take(cur) + (proj > 0.0), cur)
+            child = left.take(cur)
+            if margin is not None:
+                # the steps a query takes at its leaf split nothing
+                np.minimum(margin, np.abs(proj), out=margin, where=child >= 0)
+            cur = np.maximum(child + (proj > 0.0), cur)
         return cur
 
 

@@ -126,7 +126,9 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
         guess = Isometry3.identity()
 
     t0 = time.perf_counter()
-    if state.config.deskew and len(cloud) > 0:
+    # a zero twist (the first two frames) would only copy the cloud
+    moving = state.velocity.v.any() or state.velocity.omega.any()
+    if state.config.deskew and moving and len(cloud) > 0:
         if cloud.rel_times is None:
             cloud = synthesize_rel_times(cloud)
         cloud = deskew(cloud, state.velocity, state.config.scan_period)

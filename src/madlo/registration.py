@@ -14,6 +14,13 @@ what keyframe selection consumes downstream.
 
 Model trees are processed one after another and reduced in tree order, so
 the result is reproducible bit for bit.
+
+Within one call the trees stay put and the queries move only by the pose
+increments, so each tree keeps every query's leaf across passes and
+re-descends a query only once its accumulated motion may have carried it
+across a split plane on its path (cached kd-tree search, Nuechter,
+Lingemann & Hertzberg, 3DIM 2007, made exact). The cached leaves are those
+a full descent would give, bit for bit.
 """
 from __future__ import annotations
 
@@ -32,6 +39,27 @@ DAMPING = 1e-6
 # information-matrix condition number beyond which the solve is declared
 # unobservable (flat or feature-starved geometry)
 CONDITION_LIMIT = 1e12
+# Slack added to every step of `_LeafCache`, per unit of S: the largest
+# |coordinate| of a query so far in the call plus a bound on that of any node
+# centroid, so |q_i - mu_i| <= S; S never shrinks within a call. With
+# u = 2**-53, |d| <= 1 + 8u (a rotated unit eigenvector) and |d|_1 < 1.74,
+# each error below is at most a fixed multiple of u S per step:
+#  - proj = d . (q - mu) rounds four times per term, so the computed value is
+#    within 4.001u * |d|_1 * S < 7u S of the exact one; once at the last
+#    descent and once now, 14u S, which the latest step pays;
+#  - a move changes the exact proj by at most (1 + 8u) |q' - q|, and the
+#    computed step is low by at most 5u of itself, with |q' - q| <= 2 sqrt(3) S:
+#    46u S;
+#  - `step += slack` rounds down by at most u (3.47 S + slack), and
+#    `remaining -= step` by at most u * remaining <= u * margin <= 1.8u S,
+#    since a query is kept only while 0 < remaining <= margin <= 1.74 S:
+#    5.3u S.
+# So while the computed `remaining` stays above zero after steps with
+# 66u S = 33 eps S of slack each, no proj on the query's path has changed
+# sign, and proj == 0 (margin 0) always descends again. The slack is twice
+# that, which also covers the O(n u) relative error of the centroid bound.
+# For 100 m coordinates it is about 3e-12 m per pass.
+CACHE_SLACK = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -87,11 +115,10 @@ def huber_cost(e, rho_ker: float):
     return np.where(a <= rho_ker, 0.5 * a * a, rho_ker * (a - 0.5 * rho_ker))
 
 
-def associate(tree: KdTree, wq: np.ndarray, radii: np.ndarray):
+def associate(tree: KdTree, ids: np.ndarray, wq: np.ndarray, radii: np.ndarray):
     """Gated association of (N, 3) world-frame query centroids against one
-    model tree: returns the acceptance mask and the landing leaves' centroids
-    and normals."""
-    ids = tree.descend(wq)
+    model tree, given the leaves ``ids`` they descend to: returns the
+    acceptance mask and the landing leaves' centroids and normals."""
     mu_l = tree.mus[ids]
     diff = wq - mu_l
     dist = np.sqrt(np.einsum("ni,ni->n", diff, diff))
@@ -111,8 +138,9 @@ def point_to_plane(wq: np.ndarray, mu_l: np.ndarray, n_l: np.ndarray):
     return e, jac
 
 
-def _accumulate(tree: KdTree, wq: np.ndarray, radii: np.ndarray, rho_ker: float):
-    acc, mu_l, n_l = associate(tree, wq, radii)
+def _accumulate(tree: KdTree, ids: np.ndarray, wq: np.ndarray, radii: np.ndarray,
+                rho_ker: float):
+    acc, mu_l, n_l = associate(tree, ids, wq, radii)
     e, jac = point_to_plane(wq[acc], mu_l[acc], n_l[acc])
     w = huber_weight(e, rho_ker)
     h = np.einsum("ki,kj->ij", jac * w[:, None], jac)
@@ -120,6 +148,49 @@ def _accumulate(tree: KdTree, wq: np.ndarray, radii: np.ndarray, rho_ker: float)
     cost = float(huber_cost(e, rho_ker).sum())
     abs_sum = float(np.abs(e).sum())
     return h, b, acc, cost, abs_sum, int(acc.sum())
+
+
+class _LeafCache:
+    """Every query's leaf in each model tree, kept for one ``icp`` call.
+
+    For each tree, ``remaining`` is each query's smallest ``|d . (q - mu)|``
+    over the interior nodes of its path at its last descent, less the steps
+    it has taken since. A step of length s moves each such projection by at
+    most s (|d| = 1), so a query with ``remaining > 0`` still lands in the
+    same leaf; the others descend again. 16 B per query per tree, plus the
+    previous queries.
+    """
+
+    def __init__(self, model: "list[KdTree]"):
+        self.model = model
+        # every node centroid is a mean of its tree's points, which lie
+        # within the root's extents of the root centroid
+        self.mu_scale = max(float(np.linalg.norm(t.mus[0]) + np.linalg.norm(t.bboxes[0]))
+                            for t in model)
+        self.q_scale = 0.0
+        self.wq_prev = None
+        self.ids: list[np.ndarray] = []
+        self.remaining: list[np.ndarray] = []
+
+    def leaves(self, wq: np.ndarray) -> "list[np.ndarray]":
+        """Leaf ids of the (N, 3) queries ``wq`` in each tree, in tree order."""
+        self.q_scale = max(self.q_scale, float(np.abs(wq).max(initial=0.0)))
+        if self.wq_prev is None:
+            self.remaining = [np.empty(wq.shape[0]) for _ in self.model]
+            self.ids = [t.descend(wq, m) for t, m in zip(self.model, self.remaining)]
+        else:
+            diff = wq - self.wq_prev
+            step = np.sqrt(np.einsum("ni,ni->n", diff, diff))
+            step += CACHE_SLACK * (self.q_scale + self.mu_scale)
+            for tree, ids, remaining in zip(self.model, self.ids, self.remaining):
+                remaining -= step
+                stale = np.flatnonzero(~(remaining > 0.0))  # NaN descends too
+                if stale.size:
+                    margin = np.empty(stale.size)
+                    ids[stale] = tree.descend(wq[stale], margin)
+                    remaining[stale] = margin
+        self.wq_prev = wq
+        return self.ids
 
 
 def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
@@ -148,6 +219,7 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     mean_error = 0.0
     iterations = 0
     cost_history: list[float] = []
+    cache = _LeafCache(model)
     start = time.perf_counter()
 
     while True:
@@ -163,8 +235,8 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
         cost = 0.0
         abs_sum = 0.0
         n_acc = 0
-        for tree in model:  # fixed tree order: deterministic
-            ht, bt, acc, ct, at, na = _accumulate(tree, wq, radii, params.rho_ker)
+        for tree, ids in zip(model, cache.leaves(wq)):  # fixed tree order: deterministic
+            ht, bt, acc, ct, at, na = _accumulate(tree, ids, wq, radii, params.rho_ker)
             h += ht
             b += bt
             matched |= acc

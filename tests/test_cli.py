@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,3 +234,26 @@ def test_build_config_rejects_bad_set():
                               no_deskew=False)
     with pytest.raises(ValueError):
         build_run_config(args)
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def cli_thread_env(**preset) -> list:
+    """The thread variables a fresh process sees once madlo.cli is imported."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import os, sys, madlo.cli; assert 'numpy' in sys.modules; "
+            f"print(*[os.environ.get(k) for k in {THREAD_VARS!r}])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout.split()
+
+
+def test_cli_holds_thread_pools_at_one_unless_set():
+    assert cli_thread_env() == ["1"] * 5
+    user_set = cli_thread_env(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2")
+    assert user_set == ["2", "3", "1", "1", "1"]

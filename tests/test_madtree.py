@@ -56,14 +56,19 @@ def ref_leaves(pts: np.ndarray, b_max: float, b_min: float):
     return out
 
 
-def oracle_descend(tree: KdTree, q: np.ndarray) -> int:
+def oracle_descend(tree: KdTree, q: np.ndarray):
+    """Leaf of ``q`` and the smallest |d . (q - mu)| over the interior nodes
+    of its path, summed left to right in plain Python floats."""
+    x, y, z = (float(c) for c in q)
     i = 0
+    margin = float("inf")
     while tree.left[i] >= 0:
-        if np.dot(tree.directions[i], q - tree.mus[i]) > 0.0:
-            i = int(tree.right[i])
-        else:
-            i = int(tree.left[i])
-    return i
+        dx, dy, dz = tree.directions[i].tolist()
+        mx, my, mz = tree.mus[i].tolist()
+        proj = dx * (x - mx) + dy * (y - my) + dz * (z - mz)
+        margin = min(margin, abs(proj))
+        i = int(tree.right[i]) if proj > 0.0 else int(tree.left[i])
+    return i, margin
 
 
 def random_scene(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -239,7 +244,7 @@ def test_search_matches_descent_oracle():
     queries = rng.uniform(-5.0, 5.0, size=(1000, 3))
     batch = tree.descend(queries)
     for k, q in enumerate(queries):
-        assert int(batch[k]) == oracle_descend(tree, q)
+        assert int(batch[k]) == oracle_descend(tree, q)[0]
 
 
 def test_search_ties_go_left():
@@ -261,7 +266,37 @@ def test_search_queries_on_interior_centroids_match_oracle():
         assert len(queries) > 10
         batch = tree.descend(queries)
         for k, q in enumerate(queries):
-            assert int(batch[k]) == oracle_descend(tree, q)
+            assert int(batch[k]) == oracle_descend(tree, q)[0]
+
+
+def test_descend_margin_matches_oracle():
+    # random queries, queries on interior centroids (margin 0) and queries
+    # 1e-12 m either side of a split plane
+    rng = np.random.default_rng(61)
+    for _ in range(5):
+        tree = build_tree(random_scene(rng, int(rng.integers(200, 1200))))
+        interior = np.flatnonzero(tree.left >= 0)
+        picked = rng.choice(interior, size=20)
+        side = rng.choice([-1.0, 1.0], size=(20, 1))
+        near = tree.mus[picked] + 1e-12 * side * tree.directions[picked]
+        queries = np.vstack([rng.uniform(-5.0, 5.0, size=(300, 3)),
+                             tree.mus[interior[:50]], near])
+        margin = np.full(len(queries), np.nan)
+        ids = tree.descend(queries, margin)
+        assert np.array_equal(ids, tree.descend(queries))
+        for k, q in enumerate(queries):
+            leaf, want = oracle_descend(tree, q)
+            assert int(ids[k]) == leaf
+            assert margin[k] == want
+        assert (margin[300:350] == 0.0).all()
+
+
+def test_descend_margin_of_single_leaf_tree_is_inf():
+    tree = build_tree(np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]]))
+    margin = np.zeros(2)
+    assert np.array_equal(tree.descend(np.array([[0.0, 0.0, 0.0], [5.0, 1.0, 2.0]]), margin),
+                          [0, 0])
+    assert np.isinf(margin).all()
 
 
 def test_descent_is_deterministic():
@@ -322,7 +357,7 @@ def test_search_on_moved_tree_matches_oracle():
         queries = move.apply(queries)
         batch = tree.descend(queries)
         for k, q in enumerate(queries):
-            assert int(batch[k]) == oracle_descend(tree, q)
+            assert int(batch[k]) == oracle_descend(tree, q)[0]
 
 
 def test_search_equivariance_under_rigid_motion():

@@ -6,7 +6,9 @@ import pytest
 from worldsim import big_room_panels, panel, rotation_angle_deg, sample_panels, scan_cloud
 
 from madlo.dataset_io import PointCloud, RunConfig, ScanSource, write_kitti_bin, write_trajectory_kitti
+from madlo import pipeline
 from madlo.geometry import Isometry3
+from madlo.motion import deskew
 from madlo.pipeline import (
     OdometryState,
     SequenceAborted,
@@ -58,6 +60,37 @@ def test_first_frame_bootstraps_map():
     assert out.matched_fraction == 1.0 and not out.fallback
     assert [kf.frame_index for kf in state.local_map.keyframes] == [0]
     assert len(state.trajectory) == 1
+
+
+def test_zero_twist_frames_skip_deskew(monkeypatch):
+    # frames 0 and 1 run with zero velocity, where deskew would only copy the
+    # cloud: it is skipped, and their poses and trees match a run with deskew
+    # off byte for byte
+    rng = np.random.default_rng(125)
+    clouds = [scan_cloud(rng, big_room_panels(), room_pose(15.0 + 0.2 * k), n=3000)
+              for k in range(3)]
+    deskewed = []
+
+    def counting(cloud, *args):
+        deskewed.append(len(cloud))
+        return deskew(cloud, *args)
+
+    monkeypatch.setattr(pipeline, "deskew", counting)
+    states = [OdometryState.initial(config(deskew=on)) for on in (True, False)]
+    for state in states:
+        for cloud in clouds[:2]:
+            process_frame(state, cloud)
+    assert deskewed == []
+    for a, b in zip(states[0].trajectory, states[1].trajectory):
+        assert a.pose.matrix().tobytes() == b.pose.matrix().tobytes()
+    kfs = [sorted([*s.local_map.keyframes, *s.local_map.candidates],
+                  key=lambda kf: kf.frame_index) for s in states]
+    assert [kf.frame_index for kf in kfs[0]] == [0, 1]
+    for kf_a, kf_b in zip(*kfs):
+        for name in ("mus", "normals", "directions", "bboxes", "point_order"):
+            assert getattr(kf_a.tree, name).tobytes() == getattr(kf_b.tree, name).tobytes()
+    process_frame(states[0], clouds[2])  # moving now
+    assert deskewed == [len(clouds[2])]
 
 
 def test_static_scene_pose_stays_identity_with_no_map_updates():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from madlo.geometry import Isometry3, exp_se3, exp_so3
-from madlo.madtree import TreeParams, build_tree, transform_tree
+from madlo.madtree import KdTree, TreeParams, build_tree, transform_tree
 from madlo.registration import (
     DegenerateRegistrationError,
     RegistrationParams,
+    _LeafCache,
     associate,
     gate_radius,
     huber_weight,
@@ -18,11 +19,14 @@ from madlo.registration import (
 from worldsim import random_small_isometry, room_cloud, rotation_angle_deg
 
 
-def oracle_descend_index(tree, q):
-    i = 0
-    while tree.left[i] >= 0:
-        i = int(tree.right[i]) if np.dot(tree.directions[i], q - tree.mus[i]) > 0.0 else int(tree.left[i])
-    return i
+def oracle_path(tree, q):
+    """Nodes from the root to the leaf that ``q`` descends to."""
+    path = [0]
+    while tree.left[path[-1]] >= 0:
+        i = path[-1]
+        go_right = np.dot(tree.directions[i], q - tree.mus[i]) > 0.0
+        path.append(int(tree.right[i]) if go_right else int(tree.left[i]))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +59,7 @@ def test_associate_identity_self_match(room):
     pts, tree = room
     scan = build_tree(pts)
     mus_q = valid_leaf_mus(scan)[::50]
-    acc, mu_l, _ = associate(tree, mus_q, gate_radius(mus_q, 0.2, 0.02))
+    acc, mu_l, _ = associate(tree, tree.descend(mus_q), mus_q, gate_radius(mus_q, 0.2, 0.02))
     assert acc.all()
     assert np.abs(mu_l - mus_q).max() < 1e-12
 
@@ -65,7 +69,7 @@ def test_associate_rejects_far_query(room):
     scan = build_tree(pts)
     mus_q = valid_leaf_mus(scan)[:1]
     wq = mus_q + np.array([500.0, 0.0, 0.0])
-    acc, _, _ = associate(tree, wq, gate_radius(mus_q, 0.2, 0.02))
+    acc, _, _ = associate(tree, tree.descend(wq), wq, gate_radius(mus_q, 0.2, 0.02))
     assert not acc.any()
 
 
@@ -79,9 +83,10 @@ def test_associate_matches_brute_replay(room):
     pose = random_small_isometry(rng, 3.0, 0.3)
     mus_q = leaves[pick]
     wq = pose.apply(mus_q)
-    acc, mu_l, n_l = associate(tree, wq, gate_radius(mus_q, 0.2, params.b_ratio))
+    acc, mu_l, n_l = associate(tree, tree.descend(wq), wq,
+                               gate_radius(mus_q, 0.2, params.b_ratio))
     for k in range(len(pick)):
-        want_idx = oracle_descend_index(tree, wq[k])
+        want_idx = oracle_path(tree, wq[k])[-1]
         r = 0.2 + np.linalg.norm(mus_q[k]) * params.b_ratio
         want_acc = bool(tree.valid[want_idx]) and np.linalg.norm(tree.mus[want_idx] - wq[k]) <= r
         assert np.array_equal(mu_l[k], tree.mus[want_idx])
@@ -104,7 +109,8 @@ def test_residual_hand_case():
     model = build_tree(pts_m)
     pts_q = pts_m + np.array([0.3, 0.0, 0.0])
     query = build_tree(pts_q)
-    _, mu_l, n_l = associate(model, query.mus[:1], gate_radius(query.mus[:1], 0.2, 0.02))
+    _, mu_l, n_l = associate(model, model.descend(query.mus[:1]), query.mus[:1],
+                           gate_radius(query.mus[:1], 0.2, 0.02))
     e, jac = point_to_plane(query.mus[:1], mu_l, n_l)
     assert e[0] == pytest.approx(0.3, abs=1e-12)
     assert np.abs(jac[0, :3] - np.array([1.0, 0.0, 0.0])).max() < 1e-9
@@ -133,6 +139,76 @@ def test_jacobian_matches_central_differences(room):
         fd[:, k] = (residuals(d)[0] - residuals(-d)[0]) / (2.0 * step)
     for i in range(300):
         assert np.linalg.norm(fd[i] - jac[i]) < 1e-5 * max(1.0, np.linalg.norm(jac[i]))
+
+
+# ----------------------------------------------------------- leaf cache
+
+
+def test_leaf_cache_matches_full_descent():
+    """Over random forests and rigid motion sequences the cached leaves are
+    those of a full descent, bit for bit: zero steps, shrinking random
+    motions, translations that put a query within 1e-12 m of a split plane on
+    its path, and queries that start exactly on interior centroids."""
+    rng = np.random.default_rng(62)
+    for _ in range(4):
+        model = [build_tree(room_cloud(rng, 3000, size=20.0)) for _ in range(2)]
+        transform_tree(model[1], random_small_isometry(rng, 2.0, 0.3))
+        interior = np.flatnonzero(model[0].left >= 0)
+        mus_q = np.vstack([rng.uniform(-1.0, 21.0, size=(400, 3)),
+                           model[0].mus[rng.choice(interior, size=40)]])
+        cache = _LeafCache(model)
+        pose = Isometry3.identity()
+        for k in range(15):
+            wq = pose.apply(mus_q)
+            for tree, ids in zip(model, cache.leaves(wq)):
+                assert np.array_equal(ids, tree.descend(wq))
+            if k % 3 == 0:
+                continue  # zero step: the same queries again
+            if k % 3 == 1:
+                pose = random_small_isometry(rng, 1.0 / k, 0.2 / k) @ pose
+                continue
+            tree = model[int(rng.integers(2))]
+            j = int(rng.integers(len(mus_q)))
+            node = int(rng.choice(oracle_path(tree, wq[j])[:-1]))
+            d = tree.directions[node]
+            gap = float(np.dot(d, wq[j] - tree.mus[node])) - rng.choice([-1e-12, 1e-12])
+            pose = Isometry3(np.eye(3), -gap * d) @ pose
+
+
+def test_leaf_cache_zero_step_descends_only_zero_margins(monkeypatch):
+    rng = np.random.default_rng(63)
+    tree = build_tree(room_cloud(rng, 3000, size=20.0))
+    on_planes = tree.mus[tree.left >= 0][:30]
+    wq = np.vstack([rng.uniform(-1.0, 21.0, size=(300, 3)), on_planes])
+    margin = np.empty(len(wq))
+    tree.descend(wq, margin)
+    descended = []
+    original = KdTree.descend
+
+    def counting(self, queries, margin=None):
+        descended.append(len(queries))
+        return original(self, queries, margin)
+
+    monkeypatch.setattr(KdTree, "descend", counting)
+    cache = _LeafCache([tree])
+    for _ in range(5):
+        cache.leaves(wq)
+    assert descended == [len(wq)] + [int((margin == 0.0).sum())] * 4
+    assert (margin[300:] == 0.0).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_leaf_cache_non_finite_step_descends_again():
+    rng = np.random.default_rng(64)
+    tree = build_tree(room_cloud(rng, 3000, size=20.0))
+    wq = rng.uniform(-1.0, 21.0, size=(200, 3))
+    cache = _LeafCache([tree])
+    cache.leaves(wq)
+    for bad in (np.nan, np.inf, -np.inf):
+        moved = wq.copy()
+        moved[::7] = bad
+        assert np.array_equal(cache.leaves(moved)[0], tree.descend(moved))
+        assert np.array_equal(cache.leaves(wq)[0], tree.descend(wq))
 
 
 # ------------------------------------------------------------------- icp
@@ -246,6 +322,16 @@ def test_icp_ignores_invalid_scan_leaves():
     assert not bool(scan.leaf_valid().all())
     res = icp([tree], scan, Isometry3.identity())
     assert res.matched_fraction == pytest.approx(1.0)
+
+
+def test_icp_without_valid_scan_leaves_is_degenerate(room):
+    # two points 87 m apart: one leaf, too small to carry a normal
+    _, tree = room
+    scan = build_tree(np.array([[0.0, 0.0, 0.0], [50.0, 50.0, 50.0]]))
+    assert not scan.leaf_valid().any()
+    with pytest.raises(DegenerateRegistrationError) as exc:
+        icp([tree], scan, Isometry3.identity())
+    assert exc.value.result.matched_fraction == 0.0
 
 
 def test_icp_multi_tree_matches_single_tree_reduction(room):
