@@ -126,46 +126,61 @@ def read_ply(path) -> PointCloud:
     x/y/z may be float or double; a scalar property named time, t or
     timestamp becomes rel_times (min-max normalized when outside [0, 1]).
     Other scalar properties are ignored; list properties and additional
-    elements are rejected. Points with a non-finite coordinate or time are
-    dropped.
+    elements are rejected, and a header error names the file and the line.
+    Points with a non-finite coordinate or time are dropped.
     """
     data = Path(path).read_bytes()
     marker = data.find(b"end_header")
     if not data.startswith(b"ply") or marker < 0:
         raise ValueError(f"{path}: not a PLY file")
     header_end = data.find(b"\n", marker)
-    header = data[:header_end].decode("ascii")
+    if header_end < 0:  # the file ends with the header
+        header_end = len(data)
     body = data[header_end + 1:]
 
     fmt = None
     count = None
     props: list[tuple[str, str]] = []
-    for line in header.splitlines():
+    for lineno, raw in enumerate(data[:header_end].split(b"\n"), start=1):
+        try:
+            line = raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: header line {lineno} is not ASCII") from None
         tokens = line.split()
         if not tokens:
             continue
+        where = f"{path}: header line {lineno} ({line.strip()!r})"
         if tokens[0] == "format":
+            if len(tokens) < 2 or tokens[1] not in ("ascii", "binary_little_endian"):
+                raise ValueError(f"{where}: unsupported format")
             fmt = tokens[1]
         elif tokens[0] == "element":
-            if tokens[1] != "vertex" or count is not None:
-                raise ValueError(f"{path}: only a single vertex element is supported")
-            count = int(tokens[2])
+            if len(tokens) != 3 or tokens[1] != "vertex" or count is not None:
+                raise ValueError(f"{where}: expected one 'element vertex <count>'")
+            try:
+                count = int(tokens[2])
+            except ValueError:
+                raise ValueError(f"{where}: vertex count is not an integer") from None
             if count < 0:
-                raise ValueError(f"{path}: negative vertex count {count}")
+                raise ValueError(f"{where}: negative vertex count {count}")
         elif tokens[0] == "property":
-            if tokens[1] == "list":
-                raise ValueError(f"{path}: list properties are not supported")
+            if len(tokens) > 1 and tokens[1] == "list":
+                raise ValueError(f"{where}: list properties are not supported")
+            if len(tokens) != 3:
+                raise ValueError(f"{where}: expected 'property <type> <name>'")
             if tokens[1] not in _PLY_TYPES:
-                raise ValueError(f"{path}: unknown property type {tokens[1]!r}")
+                raise ValueError(f"{where}: unknown property type {tokens[1]!r}")
+            if any(name == tokens[2] for name, _ in props):
+                raise ValueError(f"{where}: repeated property {tokens[2]!r}")
             props.append((tokens[2], _PLY_TYPES[tokens[1]]))
-    if fmt not in ("ascii", "binary_little_endian"):
-        raise ValueError(f"{path}: unsupported format {fmt!r}")
+    if fmt is None:
+        raise ValueError(f"{path}: header has no format line")
     if count is None:
-        raise ValueError(f"{path}: missing vertex element")
+        raise ValueError(f"{path}: header has no vertex element")
     names = [name for name, _ in props]
     for axis in ("x", "y", "z"):
         if axis not in names:
-            raise ValueError(f"{path}: missing vertex property {axis!r}")
+            raise ValueError(f"{path}: header has no vertex property {axis!r}")
 
     if fmt == "binary_little_endian":
         dtype = np.dtype([(name, "<" + code) for name, code in props])

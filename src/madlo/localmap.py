@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Isometry3
 from .madtree import KdTree
 
 # keyframes kept in the forest; the oldest beyond this is evicted
@@ -26,7 +25,6 @@ QUEUE_LIMIT = 64
 class Keyframe:
     tree: KdTree                 # world frame
     information: np.ndarray      # 6x6 registration system matrix
-    pose: Isometry3
     frame_index: int
     degenerate: bool = False     # came out of a rank-deficient solve
 

@@ -48,19 +48,17 @@ class KdTree:
     """Struct-of-arrays tree storage; nodes are indexed, root is index 0.
 
     Every child is numbered after its parent, and a right child right after
-    its left sibling; a leaf's ``left`` and ``right`` are -1. ``mus`` and
-    ``directions`` are (N, 3) and column-major, so ``descend`` reads each
-    axis as one contiguous column.
+    its left sibling, so ``left + 1`` is the right child; a leaf's ``left``
+    is -1. ``mus`` and ``directions`` are (N, 3) and column-major, so
+    ``descend`` reads each axis as one contiguous column.
 
-    ``point_order`` is the build permutation of the input cloud: node i owns
-    the contiguous slice ``point_order[starts[i] : starts[i] + counts[i]]``.
-    Leaves keep only statistics, never the raw points.
+    Nodes keep only statistics, never the raw points or their order: a
+    build point descends to the leaf that owns it.
     """
 
     __slots__ = (
         "params", "mus", "normals", "directions", "bboxes",
-        "counts", "starts", "valid", "left", "right",
-        "point_order", "leaf_ids", "depth",
+        "valid", "left", "leaf_ids", "depth",
     )
 
     def __init__(self):
@@ -74,17 +72,9 @@ class KdTree:
     def num_leaves(self) -> int:
         return self.leaf_ids.shape[0]
 
-    def leaf_point_indices(self, index: int) -> np.ndarray:
-        """Input-cloud row indices owned by node ``index``."""
-        s = int(self.starts[index])
-        return self.point_order[s : s + int(self.counts[index])]
-
     # leaf statistics as flat arrays, in left-to-right leaf order
     def leaf_mus(self) -> np.ndarray:
         return self.mus[self.leaf_ids]
-
-    def leaf_normals(self) -> np.ndarray:
-        return self.normals[self.leaf_ids]
 
     def leaf_valid(self) -> np.ndarray:
         return self.valid[self.leaf_ids]
@@ -147,7 +137,7 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     inh_n = np.zeros((1, 3))
 
     mus_l, normals_l, dirs_l, bbox_l = [], [], [], []
-    counts_l, starts_l, valid_l, left_l, right_l = [], [], [], [], []
+    lo_l, valid_l, left_l = [], [], []
     allocated = 1
     depth = 0
 
@@ -206,23 +196,17 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
 
         n_int = int(interior.sum())
         left_ids = np.full(f, -1, dtype=np.int64)
-        right_ids = np.full(f, -1, dtype=np.int64)
         if n_int:
-            base = allocated
-            child = base + 2 * np.arange(n_int, dtype=np.int64)
-            left_ids[interior] = child
-            right_ids[interior] = child + 1
+            left_ids[interior] = allocated + 2 * np.arange(n_int, dtype=np.int64)
             allocated += 2 * n_int
 
         mus_l.append(mu)
         normals_l.append(normal)
         dirs_l.append(np.ascontiguousarray(vecs[:, :, 2].T))
         bbox_l.append(bbox)
-        counts_l.append(lengths)
-        starts_l.append(lo)
+        lo_l.append(lo)
         valid_l.append(valid)
         left_l.append(left_ids)
-        right_l.append(right_ids)
 
         if n_int == 0:
             break
@@ -246,16 +230,13 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     tree.normals = np.concatenate(normals_l)
     tree.directions = np.concatenate(dirs_l, axis=1).T
     tree.bboxes = np.concatenate(bbox_l)
-    tree.counts = np.concatenate(counts_l)
-    tree.starts = np.concatenate(starts_l)
     tree.valid = np.concatenate(valid_l)
     tree.left = np.concatenate(left_l)
-    tree.right = np.concatenate(right_l)
-    tree.point_order = idx
     tree.depth = depth
-    leaf_mask = tree.left < 0
-    leaf_ids = np.flatnonzero(leaf_mask)
-    tree.leaf_ids = leaf_ids[np.argsort(tree.starts[leaf_ids], kind="stable")]
+    # left-to-right leaf order (by first point in the partition) fixes the
+    # summation order of the registration system
+    leaf_ids = np.flatnonzero(tree.left < 0)
+    tree.leaf_ids = leaf_ids[np.argsort(np.concatenate(lo_l)[leaf_ids], kind="stable")]
     return tree
 
 

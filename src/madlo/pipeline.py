@@ -151,7 +151,7 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
         # bootstrap: this scan anchors the map
         transform_tree(tree, guess)
         state.local_map.install(Keyframe(tree=tree, information=np.eye(6),
-                                         pose=guess, frame_index=k))
+                                         frame_index=k))
         t3 = time.perf_counter()
         out = FrameOutput(frame=k, pose=guess, matched_fraction=1.0,
                           det_information=1.0, fallback=False, iterations=0,
@@ -173,8 +173,8 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
 
     transform_tree(tree, pose)
     state.local_map.push_candidate(Keyframe(
-        tree=tree, information=result.information, pose=pose,
-        frame_index=k, degenerate=fallback))
+        tree=tree, information=result.information, frame_index=k,
+        degenerate=fallback))
     _advance(state, pose, stamp)
     state.local_map.maybe_update(result.matched_fraction, state.config.p_th)
     t4 = time.perf_counter()

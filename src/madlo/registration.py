@@ -84,7 +84,6 @@ class RegistrationResult:
     information: np.ndarray          # weighted system matrix of the last pass
     matched_fraction: float          # valid scan leaves with >= 1 accepted match
     iterations: int
-    mean_error: float                # mean |e| over accepted pairs, last pass
     cost_history: list = field(default_factory=list)
 
 
@@ -146,8 +145,7 @@ def _accumulate(tree: KdTree, ids: np.ndarray, wq: np.ndarray, radii: np.ndarray
     h = np.einsum("ki,kj->ij", jac * w[:, None], jac)
     b = np.einsum("ki,k->i", jac, w * e)
     cost = float(huber_cost(e, rho_ker).sum())
-    abs_sum = float(np.abs(e).sum())
-    return h, b, acc, cost, abs_sum, int(acc.sum())
+    return h, b, acc, cost
 
 
 class _LeafCache:
@@ -216,7 +214,6 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     pose = guess
     h_final = np.zeros((6, 6))
     matched = np.zeros(n_queries, dtype=bool)
-    mean_error = 0.0
     iterations = 0
     cost_history: list[float] = []
     cache = _LeafCache(model)
@@ -233,19 +230,14 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
         b = np.zeros(6)
         matched = np.zeros(n_queries, dtype=bool)
         cost = 0.0
-        abs_sum = 0.0
-        n_acc = 0
         for tree, ids in zip(model, cache.leaves(wq)):  # fixed tree order: deterministic
-            ht, bt, acc, ct, at, na = _accumulate(tree, ids, wq, radii, params.rho_ker)
+            ht, bt, acc, ct = _accumulate(tree, ids, wq, radii, params.rho_ker)
             h += ht
             b += bt
             matched |= acc
             cost += ct
-            abs_sum += at
-            n_acc += na
 
         h_final = h
-        mean_error = abs_sum / n_acc if n_acc else 0.0
         cost_history.append(cost)
         iterations += 1
 
@@ -263,7 +255,6 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
         information=h_final,
         matched_fraction=p,
         iterations=iterations,
-        mean_error=mean_error,
         cost_history=cost_history,
     )
     eigvals = np.linalg.eigvalsh(h_final)

@@ -65,7 +65,8 @@ def report(announce):
 
 
 def reference_descent(tree, queries) -> list:
-    """Independent walk of the split predicate: right iff d . (q - mu) > 0.
+    """Independent walk of the split predicate: right iff d . (q - mu) > 0,
+    where the right child is numbered right after the left one.
 
     One query at a time in plain Python floats; each node is read out of the
     tree arrays on its first visit.
@@ -77,12 +78,12 @@ def reference_descent(tree, queries) -> list:
         while True:
             rec = nodes.get(node)
             if rec is None:
-                rec = nodes[node] = (int(tree.left[node]), int(tree.right[node]),
+                rec = nodes[node] = (int(tree.left[node]),
                                      *tree.directions[node].tolist(), *tree.mus[node].tolist())
-            left, right, dx, dy, dz, mx, my, mz = rec
+            left, dx, dy, dz, mx, my, mz = rec
             if left < 0:
                 break
-            node = right if dx * (x - mx) + dy * (y - my) + dz * (z - mz) > 0.0 else left
+            node = left + 1 if dx * (x - mx) + dy * (y - my) + dz * (z - mz) > 0.0 else left
         out.append(node)
     return out
 

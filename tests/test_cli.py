@@ -15,6 +15,7 @@ from madlo.cli import MAX_LENGTHS, build_run_config, main, parse_lengths
 from madlo.dataset_io import (
     Trajectory,
     write_kitti_bin,
+    write_ply,
     write_trajectory_kitti,
 )
 from madlo.geometry import Isometry3, exp_se3
@@ -22,14 +23,17 @@ from madlo.motion import StampedPose
 from madlo.pipeline import FRAME_LOG_HEADER
 
 
-def write_room_scans(tmp_path, n_frames=3, n_points=1500, seed=130):
+def write_room_scans(tmp_path, n_frames=3, n_points=1500, seed=130, ply=False):
     rng = np.random.default_rng(seed)
     pose = Isometry3(np.eye(3), np.array([15.0, 15.0, 1.5]))
     scans = tmp_path / "scans"
-    scans.mkdir()
+    scans.mkdir(parents=True)
     for k in range(n_frames):
         cloud = scan_cloud(rng, big_room_panels(), pose, n=n_points)
-        write_kitti_bin(scans / f"{k:06d}.bin", cloud)
+        if ply:
+            write_ply(scans / f"{k:06d}.ply", cloud)
+        else:
+            write_kitti_bin(scans / f"{k:06d}.bin", cloud)
     return scans
 
 
@@ -103,14 +107,19 @@ def test_missing_data_directory_exits_2(tmp_path):
 
 
 def test_aborted_run_exits_2_with_partial_outputs(tmp_path):
-    scans = write_room_scans(tmp_path)
-    (scans / "000001.bin").write_bytes(b"\x00" * 19)
-    out = tmp_path / "out"
-    code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 "--no-deskew"])
-    assert code == 2
-    assert len((out / "trajectory.txt").read_text().strip().splitlines()) == 1
-    assert len((out / "frames.csv").read_text().strip().splitlines()) == 2
+    # frame 1 cannot be read: a KITTI scan cut mid-record, or a PLY header
+    # whose element line is bare
+    bad_scans = {"kitti": ("000001.bin", b"\x00" * 19),
+                 "ply": ("000001.ply", b"ply\nformat ascii 1.0\nelement\nend_header\n")}
+    for fmt, (name, data) in bad_scans.items():
+        scans = write_room_scans(tmp_path / fmt, ply=fmt == "ply")
+        (scans / name).write_bytes(data)
+        out = tmp_path / fmt / "out"
+        code = main(["odometry", "--data", str(scans), "--out", str(out),
+                     "--format", fmt, "--no-deskew"])
+        assert code == 2
+        assert len((out / "trajectory.txt").read_text().strip().splitlines()) == 1
+        assert len((out / "frames.csv").read_text().strip().splitlines()) == 2
 
 
 def test_non_finite_point_is_dropped_and_run_completes(tmp_path):

@@ -1,6 +1,7 @@
 """Scan readers, trajectory formats, time synthesis and config parsing."""
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -223,39 +224,65 @@ def test_ply_drops_non_finite_points(tmp_path, caplog):
     assert "dropped 2 non-finite points" in caplog.text
 
 
+def write_ply_header(path, lines: list, body: bytes = b"") -> None:
+    """Write ``ply``, the given header lines and ``end_header``, then body."""
+    path.write_bytes("\n".join(["ply", *lines, "end_header", ""]).encode() + body)
+
+
+def assert_header_error(path, lineno: int, match: str = "") -> None:
+    """read_ply raises a ValueError naming the file and the header line."""
+    where = re.escape(f"{path}: header line {lineno} ")
+    with pytest.raises(ValueError, match=where + ".*" + match):
+        read_ply(path)
+
+
+XYZ_DOUBLE = ["property double x", "property double y", "property double z"]
+
+
 def test_ply_rejects_big_endian(tmp_path):
-    text = ("ply\nformat binary_big_endian 1.0\nelement vertex 0\n"
-            "property float x\nproperty float y\nproperty float z\nend_header\n")
-    (tmp_path / "b.ply").write_bytes(text.encode())
-    with pytest.raises(ValueError):
-        read_ply(tmp_path / "b.ply")
+    # a bare format line is as unreadable as an unsupported one
+    for fmt in ("format binary_big_endian 1.0", "format"):
+        write_ply_header(tmp_path / "b.ply", [fmt, "element vertex 0", *XYZ_DOUBLE])
+        assert_header_error(tmp_path / "b.ply", 2, "format")
+    # so is a header that is not ASCII
+    write_ply_header(tmp_path / "b.ply", ["format ascii 1.0", "comment caf\u00e9",
+                                          "element vertex 0", *XYZ_DOUBLE])
+    assert_header_error(tmp_path / "b.ply", 3, "not ASCII")
 
 
 def test_ply_rejects_negative_vertex_count(tmp_path):
-    header = ("ply\nformat {} 1.0\nelement vertex -1\n"
-              "property double x\nproperty double y\nproperty double z\nend_header\n")
     bodies = {"binary_little_endian": np.arange(6, dtype="<f8").tobytes(),
               "ascii": b"0 1 2\n3 4 5\n"}
     for fmt, body in bodies.items():
-        (tmp_path / "n.ply").write_bytes(header.format(fmt).encode() + body)
-        with pytest.raises(ValueError, match="negative vertex count"):
-            read_ply(tmp_path / "n.ply")
+        write_ply_header(tmp_path / "n.ply",
+                         [f"format {fmt} 1.0", "element vertex -1", *XYZ_DOUBLE], body)
+        assert_header_error(tmp_path / "n.ply", 3, "negative vertex count")
+    # an element line without a name or a count, or with a count that is no integer
+    for element in ("element", "element vertex", "element vertex 2.5", "element vertex two"):
+        write_ply_header(tmp_path / "n.ply", ["format ascii 1.0", element, *XYZ_DOUBLE],
+                         b"0 1 2\n3 4 5\n")
+        assert_header_error(tmp_path / "n.ply", 3)
 
 
 def test_ply_rejects_list_property(tmp_path):
-    text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
-            "property list uchar int vertex_indices\nend_header\n")
-    (tmp_path / "b.ply").write_bytes(text.encode())
-    with pytest.raises(ValueError):
-        read_ply(tmp_path / "b.ply")
+    # a property line without a name or a type is malformed as well
+    for prop in ("property list uchar int vertex_indices", "property double", "property"):
+        write_ply_header(tmp_path / "b.ply",
+                         ["format ascii 1.0", "element vertex 1", *XYZ_DOUBLE, prop], b"1 2 3\n")
+        assert_header_error(tmp_path / "b.ply", 7)
 
 
 def test_ply_rejects_missing_axis(tmp_path):
-    text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
-            "property double x\nproperty double y\nend_header\n1 2\n")
-    (tmp_path / "b.ply").write_bytes(text.encode())
-    with pytest.raises(ValueError):
+    write_ply_header(tmp_path / "b.ply", ["format ascii 1.0", "element vertex 1",
+                                          *XYZ_DOUBLE[:2]], b"1 2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'b.ply'}: ") + ".*'z'"):
         read_ply(tmp_path / "b.ply")
+    # an axis named twice is ambiguous in either format
+    for fmt, body in (("ascii", b"1 2 3 4\n"),
+                      ("binary_little_endian", np.arange(4, dtype="<f8").tobytes())):
+        write_ply_header(tmp_path / "b.ply", [f"format {fmt} 1.0", "element vertex 1",
+                                              *XYZ_DOUBLE, "property double x"], body)
+        assert_header_error(tmp_path / "b.ply", 7, "repeated property 'x'")
 
 
 def test_ply_rejects_truncated_binary(tmp_path):
@@ -266,6 +293,13 @@ def test_ply_rejects_truncated_binary(tmp_path):
     (tmp_path / "cut.ply").write_bytes(data[:-8])
     with pytest.raises(ValueError):
         read_ply(tmp_path / "cut.ply")
+    # either format, cut right after end_header, before its newline
+    for binary in (True, False):
+        write_ply(tmp_path / "a.ply", PointCloud(np.ones((1, 3))), binary=binary)
+        data = (tmp_path / "a.ply").read_bytes()
+        (tmp_path / "cut.ply").write_bytes(data[:data.find(b"end_header") + 10])
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'cut.ply'}: truncated")):
+            read_ply(tmp_path / "cut.ply")
 
 
 # ----------------------------------------------------------- trajectories

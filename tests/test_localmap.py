@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from madlo.geometry import Isometry3
 from madlo.localmap import Keyframe, LocalMap
 from madlo.madtree import build_tree
 
@@ -20,7 +19,6 @@ def kf(rng, frame, information=None, degenerate=False):
     return Keyframe(
         tree=make_tree(rng),
         information=information,
-        pose=Isometry3.identity(),
         frame_index=frame,
         degenerate=degenerate,
     )

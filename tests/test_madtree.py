@@ -67,8 +67,18 @@ def oracle_descend(tree: KdTree, q: np.ndarray):
         mx, my, mz = tree.mus[i].tolist()
         proj = dx * (x - mx) + dy * (y - my) + dz * (z - mz)
         margin = min(margin, abs(proj))
-        i = int(tree.right[i]) if proj > 0.0 else int(tree.left[i])
+        i = int(tree.left[i]) + (proj > 0.0)
     return i, margin
+
+
+def node_sums(tree: KdTree, pts: np.ndarray, weights=None) -> np.ndarray:
+    """Sum of ``weights`` (default: a count) over the build points under each
+    node: a leaf sums the points that descend to it, an interior node its two
+    children (numbered after it)."""
+    sums = np.bincount(tree.descend(pts), weights=weights, minlength=tree.num_nodes)
+    for i in np.flatnonzero(tree.left >= 0)[::-1]:
+        sums[i] = sums[tree.left[i]] + sums[tree.left[i] + 1]
+    return sums
 
 
 def random_scene(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -92,9 +102,10 @@ def test_build_matches_recursive_reference():
         tree = build_tree(pts, params)
         ref = ref_leaves(pts, params.b_max, params.b_min)
         assert tree.num_leaves == len(ref)
+        # a build point descends to the leaf that owns it
+        owner = tree.descend(pts)
         for leaf_id, (sel, normal, valid) in zip(tree.leaf_ids, ref):
-            got = np.sort(tree.leaf_point_indices(leaf_id))
-            assert np.array_equal(got, np.sort(sel))
+            assert np.array_equal(np.flatnonzero(owner == leaf_id), np.sort(sel))
             assert bool(tree.valid[leaf_id]) == valid
             if valid:
                 assert np.abs(tree.normals[leaf_id] - normal).max() < 1e-9
@@ -106,7 +117,7 @@ def test_flat_plane_leaf_normals():
     tree = build_tree(pts)
     assert tree.num_leaves > 1
     assert tree.leaf_valid().all()
-    normals = tree.leaf_normals()
+    normals = tree.normals[tree.leaf_ids]
     assert np.abs(np.abs(normals[:, 2]) - 1.0).max() < 1e-6
     assert np.abs(normals[:, :2]).max() < 1e-6
 
@@ -124,8 +135,9 @@ def test_leaf_pca_matches_svd_oracle():
     # b_min ~ 0 shuts off normal propagation: every valid leaf is its own fit
     tree = build_tree(pts, TreeParams(b_max=0.2, b_min=1e-9))
     checked = 0
+    owner = tree.descend(pts)
     for leaf_id in tree.leaf_ids:
-        sel = tree.leaf_point_indices(leaf_id)
+        sel = np.flatnonzero(owner == leaf_id)
         # sub-3-point leaves only ever get donated normals, skip them
         if len(sel) < 3 or not tree.valid[leaf_id]:
             continue
@@ -150,7 +162,7 @@ def test_two_distant_points_leaf_despite_extent():
     tree = build_tree(pts)
     assert tree.num_leaves == 1
     assert not tree.valid[0]
-    assert tree.counts[0] == 2
+    assert node_sums(tree, pts)[0] == 2
 
 
 def test_tree_root_single_point():
@@ -200,8 +212,9 @@ def test_parallel_planes_never_share_a_leaf():
     b[:, 2] = 5.0
     pts = np.vstack([a, b])
     tree = build_tree(pts)
+    owner = tree.descend(pts)
     for leaf_id in tree.leaf_ids:
-        z = pts[tree.leaf_point_indices(leaf_id), 2]
+        z = pts[owner == leaf_id, 2]
         assert z.max() - z.min() < 1.0  # all from one plane
 
 
@@ -254,7 +267,7 @@ def test_search_ties_go_left():
     assert tree.num_nodes == 3 and np.array_equal(tree.directions[0], [1.0, 0.0, 0.0])
     mu = tree.mus[0]
     q = np.array([mu, mu + [1e-12, 0.0, 0.0], mu - [1e-12, 0.0, 0.0]])
-    assert np.array_equal(tree.descend(q), [tree.left[0], tree.right[0], tree.left[0]])
+    assert np.array_equal(tree.descend(q), tree.left[0] + np.array([0, 1, 0]))
 
 
 def test_search_queries_on_interior_centroids_match_oracle():
@@ -329,7 +342,7 @@ def test_transform_round_trip():
     assert np.array_equal(tree.bboxes, bboxes)  # extents are rigid invariants
     transform_tree(tree, x.inverse())
     assert np.abs(tree.mus - mus).max() < 1e-9
-    assert np.abs(np.linalg.norm(tree.leaf_normals(), axis=1) - 1.0).max() < 1e-9
+    assert np.abs(np.linalg.norm(tree.normals[tree.leaf_ids], axis=1) - 1.0).max() < 1e-9
 
 
 def test_transform_matches_row_major_products_bitwise():
@@ -377,13 +390,30 @@ def test_search_equivariance_under_rigid_motion():
 
 
 def test_leaves_partition_the_cloud():
+    # every build point descends to a leaf, every leaf owns at least one, and
+    # the points a node owns average to its centroid
     rng = np.random.default_rng(42)
     pts = random_scene(rng, 700)
     tree = build_tree(pts)
-    seen = np.concatenate([tree.leaf_point_indices(i) for i in tree.leaf_ids])
-    assert len(seen) == len(pts)
-    assert np.array_equal(np.sort(seen), np.arange(len(pts)))
-    assert int(tree.counts[tree.leaf_ids].sum()) == len(pts)
+    assert np.all(tree.left[tree.descend(pts)] == -1)
+    counts = node_sums(tree, pts)
+    assert np.all(counts[tree.leaf_ids] >= 1)
+    assert counts[0] == len(pts)
+    sums = np.stack([node_sums(tree, pts, pts[:, k]) for k in range(3)], axis=1)
+    assert np.abs(sums / counts[:, None] - tree.mus).max() < 1e-9
+
+
+def test_tree_stores_nothing_per_point():
+    # leaves keep statistics only: no array grows with the input cloud
+    rng = np.random.default_rng(51)
+    for n in (40, 700, 3000):
+        pts = random_scene(rng, n)
+        tree = build_tree(pts)
+        assert n not in (tree.num_nodes, tree.num_leaves)
+        for name in KdTree.__slots__:
+            value = getattr(tree, name)
+            if isinstance(value, np.ndarray):
+                assert value.shape[0] in (tree.num_nodes, tree.num_leaves), name
 
 
 def test_children_are_numbered_after_their_parent():
@@ -394,10 +424,10 @@ def test_children_are_numbered_after_their_parent():
         nodes = np.arange(tree.num_nodes)
         interior = tree.left >= 0
         assert np.all(tree.left[interior] > nodes[interior])
-        assert np.all(tree.right[interior] > nodes[interior])
-        assert np.array_equal(tree.right[interior], tree.left[interior] + 1)
         assert np.all(tree.left[~interior] == -1)
-        assert np.all(tree.right[~interior] == -1)
+        # left and left + 1 name every node but the root exactly once
+        children = np.concatenate([tree.left[interior], tree.left[interior] + 1])
+        assert np.array_equal(np.sort(children), nodes[1:])
 
 
 def test_build_is_deterministic():
@@ -406,17 +436,18 @@ def test_build_is_deterministic():
     t1, t2 = build_tree(pts), build_tree(pts)
     assert np.array_equal(t1.mus, t2.mus)
     assert np.array_equal(t1.left, t2.left)
-    assert np.array_equal(t1.point_order, t2.point_order)
+    assert np.array_equal(t1.leaf_ids, t2.leaf_ids)
 
 
 def test_bbox_extents_sorted_everywhere():
     rng = np.random.default_rng(44)
-    tree = build_tree(random_scene(rng, 600))
+    pts = random_scene(rng, 600)
+    tree = build_tree(pts)
     b = tree.bboxes
     assert np.all(b[:, 0] <= b[:, 1]) and np.all(b[:, 1] <= b[:, 2])
     # interior nodes must all have had room to split
     interior = tree.left >= 0
-    assert np.all(tree.counts[interior] >= 3)
+    assert np.all(node_sums(tree, pts)[interior] >= 3)
 
 
 def test_noisy_plane_normal_quality():
@@ -426,8 +457,7 @@ def test_noisy_plane_normal_quality():
         [rng.uniform(0, 5, n), rng.uniform(0, 5, n), rng.normal(0, 0.01, n)]
     )
     tree = build_tree(pts)
-    normals = tree.leaf_mus(), tree.leaf_normals()[tree.leaf_valid()]
-    cos = np.abs(tree.leaf_normals()[tree.leaf_valid()][:, 2])
+    cos = np.abs(tree.normals[tree.leaf_ids][tree.leaf_valid()][:, 2])
     good = cos > np.cos(np.deg2rad(5.0))
     assert good.mean() >= 0.95
 

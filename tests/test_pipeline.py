@@ -87,7 +87,7 @@ def test_zero_twist_frames_skip_deskew(monkeypatch):
                   key=lambda kf: kf.frame_index) for s in states]
     assert [kf.frame_index for kf in kfs[0]] == [0, 1]
     for kf_a, kf_b in zip(*kfs):
-        for name in ("mus", "normals", "directions", "bboxes", "point_order"):
+        for name in ("mus", "normals", "directions", "bboxes", "left", "valid", "leaf_ids"):
             assert getattr(kf_a.tree, name).tobytes() == getattr(kf_b.tree, name).tobytes()
     process_frame(states[0], clouds[2])  # moving now
     assert deskewed == [len(clouds[2])]

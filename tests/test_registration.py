@@ -25,7 +25,7 @@ def oracle_path(tree, q):
     while tree.left[path[-1]] >= 0:
         i = path[-1]
         go_right = np.dot(tree.directions[i], q - tree.mus[i]) > 0.0
-        path.append(int(tree.right[i]) if go_right else int(tree.left[i]))
+        path.append(int(tree.left[i]) + go_right)
     return path
 
 
@@ -97,7 +97,7 @@ def test_associate_matches_brute_replay(room):
 def test_residual_zero_at_coincidence(room):
     pts, tree = room
     valid = tree.leaf_valid()
-    mu, normal = tree.leaf_mus()[valid][:1], tree.leaf_normals()[valid][:1]
+    mu, normal = tree.leaf_mus()[valid][:1], tree.normals[tree.leaf_ids][valid][:1]
     e, jac = point_to_plane(mu, mu, normal)
     assert abs(e[0]) < 1e-12
     assert np.abs(jac[0, :3] - normal[0]).max() < 1e-12
@@ -120,7 +120,7 @@ def test_jacobian_matches_central_differences(room):
     pts, tree = room
     rng = np.random.default_rng(53)
     valid = tree.leaf_valid()
-    mus, normals = tree.leaf_mus()[valid], tree.leaf_normals()[valid]
+    mus, normals = tree.leaf_mus()[valid], tree.normals[tree.leaf_ids][valid]
     step = 1e-6
     q = mus[rng.integers(len(mus), size=300)]
     m = rng.integers(len(mus), size=300)
@@ -221,7 +221,8 @@ def test_icp_self_registration_is_identity(room):
     assert np.abs(res.pose.translation).max() < 1e-9
     assert rotation_angle_deg(res.pose.rotation) < 1e-7
     assert res.matched_fraction == pytest.approx(1.0)
-    assert res.mean_error < 1e-9
+    # Huber cost of the last pass: 0.5 e^2 summed over the accepted pairs
+    assert res.cost_history[-1] < 1e-15
 
 
 def test_icp_recovers_random_offsets(room):
