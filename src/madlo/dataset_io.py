@@ -192,7 +192,10 @@ def read_ply(path) -> PointCloud:
         tokens = body.decode("ascii").split()
         if len(tokens) < count * len(props):
             raise ValueError(f"{path}: truncated vertex data")
-        grid = np.array(tokens[: count * len(props)], dtype=np.float64)
+        try:
+            grid = np.array(tokens[: count * len(props)], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         grid = grid.reshape(count, len(props))
         column = lambda name: grid[:, names.index(name)]
 

@@ -157,32 +157,6 @@ def exp_se3(xi) -> Isometry3:
     return Isometry3(r, _v_matrix(theta) @ rho, _trusted=True)
 
 
-def exp_se3_batch(rhos: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exp_se3 over N twists: returns R (N,3,3) and t (N,3)."""
-    rhos = np.asarray(rhos, dtype=float).reshape(-1, 3)
-    thetas = np.asarray(thetas, dtype=float).reshape(-1, 3)
-    n = thetas.shape[0]
-    t = np.linalg.norm(thetas, axis=1)
-    w = np.zeros((n, 3, 3))
-    w[:, 0, 1] = -thetas[:, 2]
-    w[:, 0, 2] = thetas[:, 1]
-    w[:, 1, 0] = thetas[:, 2]
-    w[:, 1, 2] = -thetas[:, 0]
-    w[:, 2, 0] = -thetas[:, 1]
-    w[:, 2, 1] = thetas[:, 0]
-    ww = w @ w
-    small = t < SMALL_ANGLE
-    ts = np.where(small, 1.0, t)  # avoid 0/0; overwritten below for small angles
-    sa = np.where(small, 1.0, np.sin(ts) / ts)
-    ca = np.where(small, 0.5, (1.0 - np.cos(ts)) / (ts * ts))
-    vb = np.where(small, 1.0 / 6.0, (ts - np.sin(ts)) / (ts ** 3))
-    eye = np.broadcast_to(np.eye(3), (n, 3, 3))
-    rot = eye + sa[:, None, None] * w + ca[:, None, None] * ww
-    v = eye + ca[:, None, None] * w + vb[:, None, None] * ww
-    trans = np.einsum("nij,nj->ni", v, rhos)
-    return rot, trans
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Sensor-frame point set, optionally tagged with per-point scan fractions.

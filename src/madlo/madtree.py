@@ -7,9 +7,10 @@ the largest extent drops below ``b_max``; very flat ancestors (smallest
 extent below ``b_min``) push their normal down to all descendant leaves,
 which rescues leaves too sparse to estimate one themselves.
 
-The build is level-synchronous: each pass partitions an index array in place
-and computes statistics for every node of one depth with batched array ops,
-so cost stays near O(N log N) with small constants.
+The build is level-synchronous: each pass computes statistics for every node
+of one depth with batched array ops over one contiguous block of those nodes'
+points, then gathers the interior nodes' points, split side by side, into
+the next level's block, so cost stays near O(N log N) with small constants.
 """
 from __future__ import annotations
 
@@ -126,13 +127,12 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     if n == 0:
         raise ValueError("cannot build a tree over an empty cloud")
 
-    idx = np.arange(n, dtype=np.int64)
-    # one contiguous row per axis keeps every per-point pass a flat loop
-    cols = np.ascontiguousarray(pts.T)
-
-    # frontier state for the current level
+    # each level holds its nodes' points as one (3, n_act) block, node after
+    # node, one contiguous row per axis so every per-point pass is a flat loop;
+    # lo is a node's offset in the final left-to-right order of the points
+    p = np.ascontiguousarray(pts.T)
     lo = np.array([0], dtype=np.int64)
-    hi = np.array([n], dtype=np.int64)
+    lengths = np.array([n], dtype=np.int64)
     inherits = np.array([False])
     inh_n = np.zeros((1, 3))
 
@@ -141,20 +141,15 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     allocated = 1
     depth = 0
 
-    while lo.size:
+    while True:
         f = lo.size
-        lengths = hi - lo
         ends = np.cumsum(lengths)
         starts = ends - lengths
-        n_act = int(ends[-1])
-        pos = np.repeat(lo - starts, lengths) + np.arange(n_act, dtype=np.int64)
-        act_idx = idx[pos]
-        p = cols[:, act_idx]
 
         mu = np.add.reduceat(p, starts, axis=1) / lengths
         d = p - np.repeat(mu, lengths, axis=1)
         # covariance from the six distinct products d_i * d_j
-        prods = np.empty((6, n_act))
+        prods = np.empty((6, p.shape[1]))
         np.multiply(d[0], d, out=prods[0:3])
         np.multiply(d[1], d[1:], out=prods[3:5])
         np.multiply(d[2], d[2], out=prods[5])
@@ -188,12 +183,6 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         normal[take] = inh_n[take]
         valid = interior | inherits | (lengths >= MIN_SPLIT_POINTS)
 
-        # stable in-place partition of interior segments, left side first
-        key = np.repeat(2 * np.arange(f, dtype=np.int64), lengths)
-        key += np.where(np.repeat(is_leaf, lengths), False, go_right)
-        order = np.argsort(key, kind="stable")
-        idx[pos] = act_idx[order]
-
         n_int = int(interior.sum())
         left_ids = np.full(f, -1, dtype=np.int64)
         if n_int:
@@ -210,12 +199,19 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
 
         if n_int == 0:
             break
+        # keep only the interior nodes' points, each node's left side first
+        kept = np.flatnonzero(np.repeat(interior, lengths))
+        key = np.repeat(2 * np.arange(n_int, dtype=np.int64), lengths[interior])
+        key += go_right[kept]
+        p = p[:, kept[np.argsort(key, kind="stable")]]
+
         # next frontier: interleave (left, right) children per interior node
-        ilo, ihi, inl = lo[interior], hi[interior], (lengths - nr)[interior]
+        ilo, inr = lo[interior], nr[interior]
+        inl = lengths[interior] - inr
         lo = np.empty(2 * n_int, dtype=np.int64)
-        hi = np.empty(2 * n_int, dtype=np.int64)
-        lo[0::2], hi[0::2] = ilo, ilo + inl
-        lo[1::2], hi[1::2] = ilo + inl, ihi
+        lengths = np.empty(2 * n_int, dtype=np.int64)
+        lo[0::2], lengths[0::2] = ilo, inl
+        lo[1::2], lengths[1::2] = ilo + inl, inr
 
         child_inherits = inherits[interior] | (bbox[interior, 0] < params.b_min)
         child_n = np.where(inherits[interior, None], inh_n[interior], normal_pca[interior])
@@ -233,8 +229,8 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     tree.valid = np.concatenate(valid_l)
     tree.left = np.concatenate(left_l)
     tree.depth = depth
-    # left-to-right leaf order (by first point in the partition) fixes the
-    # summation order of the registration system
+    # leaves in left-to-right order (by lo, where a leaf's points start once
+    # every split has ordered the cloud) fix the registration's summation order
     leaf_ids = np.flatnonzero(tree.left < 0)
     tree.leaf_ids = leaf_ids[np.argsort(np.concatenate(lo_l)[leaf_ids], kind="stable")]
     return tree

@@ -19,13 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    Isometry3,
-    PointCloud,
-    exp_se3,
-    exp_se3_batch,
-    log_so3,
-)
+from .geometry import SMALL_ANGLE, Isometry3, PointCloud, exp_se3, log_so3, skew
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +81,22 @@ def deskew(cloud: PointCloud, vel: VelocityEstimate, scan_period: float) -> Poin
     if cloud.rel_times is None:
         log.warning("deskew skipped: cloud carries no per-point times")
         return cloud
+    # exp(alpha [v, w]) with alpha = (s - 1) T and W = [w]_x, t = |alpha w|:
+    # R p + t = p + alpha v + a W p + b (W^2 p + W v) + c W^2 v, where
+    # a = alpha sin(t)/t, b = alpha^2 (1 - cos t)/t^2, c = alpha^3 (t - sin t)/t^3
     alpha = (cloud.rel_times - 1.0) * scan_period
-    rot, trans = exp_se3_batch(alpha[:, None] * vel.v, alpha[:, None] * vel.omega)
-    pts = np.einsum("nij,nj->ni", rot, cloud.points) + trans
+    w = skew(vel.omega)
+    ww = w @ w
+    t = np.abs(alpha) * np.linalg.norm(vel.omega)
+    small = t < SMALL_ANGLE
+    ts = np.where(small, 1.0, t)  # avoid 0/0; overwritten below for small angles
+    sin, t2, a2 = np.sin(ts), ts * ts, alpha * alpha
+    a = alpha * np.where(small, 1.0, sin / ts)
+    b = a2 * np.where(small, 0.5, (1.0 - np.cos(ts)) / t2)
+    c = a2 * alpha * np.where(small, 1.0 / 6.0, (ts - sin) / (t2 * ts))
+    p = cloud.points
+    pts = p + alpha[:, None] * vel.v
+    pts += a[:, None] * (p @ w.T)
+    pts += b[:, None] * (p @ ww.T + w @ vel.v)
+    pts += c[:, None] * (ww @ vel.v)
     return PointCloud(pts, rel_times=cloud.rel_times)

@@ -300,6 +300,11 @@ def test_ply_rejects_truncated_binary(tmp_path):
         (tmp_path / "cut.ply").write_bytes(data[:data.find(b"end_header") + 10])
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'cut.ply'}: truncated")):
             read_ply(tmp_path / "cut.ply")
+    # a vertex token that is no number names the file as well
+    write_ply_header(tmp_path / "bad.ply", ["format ascii 1.0", "element vertex 1", *XYZ_DOUBLE],
+                     b"1 2 abc\n")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'bad.ply'}: ") + ".*'abc'"):
+        read_ply(tmp_path / "bad.ply")
 
 
 # ----------------------------------------------------------- trajectories

@@ -14,7 +14,6 @@ from madlo.geometry import (
     PointCloud,
     eig_sym3_batch,
     exp_se3,
-    exp_se3_batch,
     exp_so3,
     log_so3,
     skew,
@@ -148,18 +147,6 @@ def test_log_so3_rejects_non_orthonormal():
     r[0, 1] = 1e-3
     with pytest.raises(ValueError):
         log_so3(r)
-
-
-def test_exp_se3_batch_matches_scalar():
-    rng = np.random.default_rng(15)
-    rhos = rng.normal(size=(64, 3))
-    thetas = rng.normal(size=(64, 3)) * rng.uniform(0.0, 2.0, size=(64, 1))
-    thetas[0] = 0.0  # exercise the small-angle branch
-    rs, ts = exp_se3_batch(rhos, thetas)
-    for i in range(64):
-        x = exp_se3(np.concatenate([rhos[i], thetas[i]]))
-        assert np.abs(rs[i] - x.rotation).max() < 1e-12
-        assert np.abs(ts[i] - x.translation).max() < 1e-12
 
 
 # ------------------------------------------------------------- Isometry3

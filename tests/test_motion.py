@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from madlo.geometry import Isometry3, PointCloud, exp_se3, exp_so3
+from madlo.geometry import SMALL_ANGLE, Isometry3, PointCloud, exp_se3, exp_so3
 from madlo.motion import StampedPose, VelocityEstimate, deskew, estimate_velocity, predict_pose
 
 
@@ -144,6 +144,28 @@ def test_deskew_anchor_point_unchanged():
     vel = VelocityEstimate(np.array([5.0, 1.0, -2.0]), np.array([0.4, 0.1, -0.8]))
     out = deskew(cloud, vel, 0.1)
     assert np.array_equal(out.points, cloud.points)
+
+
+def test_deskew_matches_per_point_exp_oracle():
+    # each point is moved by its own scalar exp_se3((s - 1) T xi)
+    rng = np.random.default_rng(86)
+    period = 0.1
+    twists = [np.concatenate([rng.normal(scale=10.0, size=3),
+                              rng.normal(size=3) * rng.uniform(0.0, 20.0)]) for _ in range(8)]
+    twists.append(np.array([4.0, -1.0, 0.5, 0.0, 0.0, 0.0]))  # omega = 0
+    # |alpha omega| below SMALL_ANGLE, and straddling it
+    for scale in (0.5, 10.0):
+        axis = rng.normal(size=3)
+        twists.append(np.concatenate([[2.0, 1.0, -3.0],
+                                      scale * SMALL_ANGLE / period * axis / np.linalg.norm(axis)]))
+    for xi in twists:
+        pts = rng.normal(scale=30.0, size=(300, 3))
+        s = rng.uniform(0.0, 1.0, 300)
+        s[:10] = 1.0
+        out = deskew(PointCloud(pts, rel_times=s), VelocityEstimate(xi[:3], xi[3:]), period)
+        want = np.stack([exp_se3((si - 1.0) * period * xi).apply(p) for si, p in zip(s, pts)])
+        assert np.abs(out.points - want).max() < 1e-12
+        assert out.points[:10].tobytes() == pts[:10].tobytes()
 
 
 def test_deskew_matches_snapshot_of_spinning_sensor():
