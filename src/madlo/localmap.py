@@ -17,7 +17,7 @@ from .madtree import KdTree
 
 # keyframes kept in the forest; the oldest beyond this is evicted
 CAPACITY = 8
-# candidates waiting for promotion; the oldest beyond this is dropped
+# only the candidates of this many latest pushes can be promoted
 QUEUE_LIMIT = 64
 
 
@@ -30,28 +30,56 @@ class Keyframe:
 
 
 def _score(kf: Keyframe) -> float:
-    """log det(H) via Cholesky; anything non-PSD (or flagged) scores -inf."""
+    """log det(H) via Cholesky; anything non-PSD (or flagged) scores -inf.
+
+    Never NaN: numpy's Cholesky returns NaN for a NaN matrix rather than
+    failing, so a factor whose diagonal is not all positive scores -inf too;
+    the others have each log in (-inf, inf], so no -inf meets an inf.
+    """
     if kf.degenerate:
         return -np.inf
     try:
-        chol = np.linalg.cholesky(kf.information)
+        diag = np.diag(np.linalg.cholesky(kf.information))
     except np.linalg.LinAlgError:
         return -np.inf
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    if not (diag > 0.0).all():
+        return -np.inf
+    return 2.0 * float(np.sum(np.log(diag)))
 
 
 class LocalMap:
-    """Bounded keyframe forest plus the candidate queue feeding it."""
+    """Bounded keyframe forest plus the candidate queue feeding it.
+
+    A push drops every queued candidate that the new one outranks by
+    (det(H) score, frame index), i.e. in frame order one whose det(H) is no
+    higher: it can never be promoted. The queue therefore ranks from its
+    oldest candidate down to its newest, and its head is the best of the
+    last ``QUEUE_LIMIT`` pushes (a sliding-window maximum). A score is never
+    NaN (see ``_score``), so any two ranks compare.
+    """
 
     def __init__(self):
         self.keyframes: list[Keyframe] = []
-        self.candidates: deque[Keyframe] = deque(maxlen=QUEUE_LIMIT)
+        self.candidates: deque[Keyframe] = deque()
+        # (score, frame index, push count) of each candidate, in queue order
+        self._ranks: deque[tuple[float, int, int]] = deque()
+        self._pushes = 0
 
     def trees(self) -> list[KdTree]:
         return [kf.tree for kf in self.keyframes]
 
     def push_candidate(self, kf: Keyframe) -> None:
+        rank = (_score(kf), kf.frame_index)
+        while self._ranks and self._ranks[-1][:2] < rank:
+            self._ranks.pop()
+            self.candidates.pop()
+        self._pushes += 1
+        self._ranks.append((*rank, self._pushes))
         self.candidates.append(kf)
+        # only the last QUEUE_LIMIT pushes are eligible
+        if self._ranks[0][2] <= self._pushes - QUEUE_LIMIT:
+            self._ranks.popleft()
+            self.candidates.popleft()
 
     def install(self, kf: Keyframe) -> None:
         """Unconditional insertion (bootstrap frame)."""
@@ -60,15 +88,9 @@ class LocalMap:
 
     def select_best(self) -> Keyframe | None:
         """Candidate with maximal det(H); ties go to the most recent frame."""
-        best = None
-        best_key = (-np.inf, -1)
-        for kf in self.candidates:
-            key = (_score(kf), kf.frame_index)
-            if best is None or key > best_key:
-                best, best_key = kf, key
-        if best is None or best_key[0] == -np.inf:
+        if not self.candidates or self._ranks[0][0] == -np.inf:
             return None
-        return best
+        return self.candidates[0]
 
     def maybe_update(self, matched_fraction: float, p_th: float) -> bool:
         """Promote the best candidate when overlap dropped below p_th.
@@ -84,6 +106,7 @@ class LocalMap:
         self.keyframes.append(best)
         self._evict()
         self.candidates.clear()
+        self._ranks.clear()
         return True
 
     def _evict(self) -> None:

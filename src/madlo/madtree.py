@@ -80,13 +80,19 @@ class KdTree:
     def leaf_valid(self) -> np.ndarray:
         return self.valid[self.leaf_ids]
 
-    def descend(self, queries: np.ndarray, margin: np.ndarray | None = None) -> np.ndarray:
+    def descend(self, queries: np.ndarray, margin: np.ndarray | None = None,
+                start: np.ndarray | int | None = None) -> np.ndarray:
         """Vectorized root-to-leaf descent; returns a node index per query.
 
         Every query takes exactly ``depth`` steps over the per-axis node
         columns. By the node numbering (see the class docstring),
         ``left + 1`` is the right child and ``maximum`` holds a query that
         has reached its leaf, whose children are -1.
+
+        ``start`` gives the node each query starts from (default the root,
+        0). Trees stacked into one set of arrays, each tree's child ids
+        offset by its first node and ``depth`` their largest, are walked
+        together by starting each query at its own tree's root.
 
         Given an (N,) float array ``margin``, also writes into it each
         query's smallest ``|d . (q - mu)|`` over the interior nodes of its
@@ -99,6 +105,8 @@ class KdTree:
         d0, d1, d2 = self.directions.T
         left = self.left
         cur = np.zeros(q.shape[0], dtype=np.int64)
+        if start is not None:
+            cur[:] = start
         if margin is not None:
             margin.fill(np.inf)
         for _ in range(self.depth):

@@ -12,15 +12,20 @@ Huber-reweighted Gauss-Newton on SE(3) with a left-multiplied increment; the
 6x6 system matrix doubles as the information matrix of the estimate and is
 what keyframe selection consumes downstream.
 
-Model trees are processed one after another and reduced in tree order, so
+Model trees are accumulated one after another and reduced in tree order, so
 the result is reproducible bit for bit.
 
 Within one call the trees stay put and the queries move only by the pose
-increments, so each tree keeps every query's leaf across passes and
-re-descends a query only once its accumulated motion may have carried it
-across a split plane on its path (cached kd-tree search, Nuechter,
+increments, so every query keeps its leaf in each tree across passes, and
+is sent down a tree again only once its accumulated motion may have carried
+it across a split plane on its path (cached kd-tree search, Nuechter,
 Lingemann & Hertzberg, 3DIM 2007, made exact). The cached leaves are those
-a full descent would give, bit for bit.
+a full descent would give, bit for bit. The cache also keeps what each
+query found there: the landing centroid, normal and validity. For the
+re-descents, the call stacks the trees' walk columns (centroids, split
+directions, offset child ids: 56 B per node) into one forest, so each pass
+makes one ``KdTree.descend`` over every tree's stale queries, each starting
+at its own tree's root. The cache costs 65 B per query per tree.
 """
 from __future__ import annotations
 
@@ -84,6 +89,9 @@ class RegistrationResult:
     information: np.ndarray          # weighted system matrix of the last pass
     matched_fraction: float          # valid scan leaves with >= 1 accepted match
     iterations: int
+    # why the loop ended: "converged", "iteration_cap", "time_budget" or
+    # "no_information" (trace(H) <= 0: nothing matched)
+    reason: str
     cost_history: list = field(default_factory=list)
 
 
@@ -114,33 +122,46 @@ def huber_cost(e, rho_ker: float):
     return np.where(a <= rho_ker, 0.5 * a * a, rho_ker * (a - 0.5 * rho_ker))
 
 
-def associate(tree: KdTree, ids: np.ndarray, wq: np.ndarray, radii: np.ndarray):
+def associate(wq: np.ndarray, radii: np.ndarray, mu_l: np.ndarray, valid: np.ndarray):
     """Gated association of (N, 3) world-frame query centroids against one
-    model tree, given the leaves ``ids`` they descend to: returns the
-    acceptance mask and the landing leaves' centroids and normals."""
-    mu_l = tree.mus[ids]
+    model tree, given the centroids ``mu_l`` and normal validity ``valid`` of
+    the leaves they land in: returns the acceptance mask."""
     diff = wq - mu_l
     dist = np.sqrt(np.einsum("ni,ni->n", diff, diff))
-    acc = (dist <= radii) & tree.valid[ids]
-    return acc, mu_l, tree.normals[ids]
+    return (dist <= radii) & valid
 
 
-def point_to_plane(wq: np.ndarray, mu_l: np.ndarray, n_l: np.ndarray):
-    """Residuals e = n_l . (X mu_q - mu_l) and their (N, 6) Jacobian rows.
+def point_to_plane(wq: np.ndarray, mu_l: np.ndarray, n_l: np.ndarray,
+                   jac: np.ndarray | None = None):
+    """Residuals e = n_l . (X mu_q - mu_l) and their (N, 6) Jacobian rows,
+    written into ``jac`` when given.
 
     ``wq`` holds the already transformed centroids X mu_q. Differentiating
     e(xi) = n_l . (exp(xi) X mu_q - mu_l) at xi = 0 gives n_l for the
     translational columns and cross(X mu_q, n_l) for the rotational ones.
     """
     e = np.einsum("ni,ni->n", n_l, wq - mu_l)
-    jac = np.hstack([n_l, np.cross(wq, n_l)])
+    if jac is None:
+        jac = np.empty((wq.shape[0], 6))
+    jac[:, :3] = n_l
+    # cross(wq, n_l) with np.cross's operations, in its order
+    a, n = wq.T, n_l.T
+    tmp = np.empty(wq.shape[0])
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(a[i], n[j], out=jac[:, 3 + k])
+        jac[:, 3 + k] -= np.multiply(a[j], n[i], out=tmp)
     return e, jac
 
 
-def _accumulate(tree: KdTree, ids: np.ndarray, wq: np.ndarray, radii: np.ndarray,
-                rho_ker: float):
-    acc, mu_l, n_l = associate(tree, ids, wq, radii)
-    e, jac = point_to_plane(wq[acc], mu_l[acc], n_l[acc])
+def _accumulate(wq: np.ndarray, radii: np.ndarray, mu_l: np.ndarray, n_l: np.ndarray,
+                valid: np.ndarray, jac: np.ndarray, rho_ker: float):
+    """One tree's Gauss-Newton terms; ``jac`` is scratch with a row per query."""
+    acc = associate(wq, radii, mu_l, valid)
+    # take on row indices: a boolean mask gathers (N, 3) rows several times slower
+    rows = np.flatnonzero(acc)
+    e, jac = point_to_plane(wq.take(rows, axis=0), mu_l.take(rows, axis=0),
+                            n_l.take(rows, axis=0), jac[:rows.size])
     w = huber_weight(e, rho_ker)
     h = np.einsum("ki,kj->ij", jac * w[:, None], jac)
     b = np.einsum("ki,k->i", jac, w * e)
@@ -148,47 +169,89 @@ def _accumulate(tree: KdTree, ids: np.ndarray, wq: np.ndarray, radii: np.ndarray
     return h, b, acc, cost
 
 
-class _LeafCache:
-    """Every query's leaf in each model tree, kept for one ``icp`` call.
+def _stack_forest(model: "list[KdTree]"):
+    """The trees as one ``KdTree`` holding only what ``descend`` reads, and
+    each tree's first node in it: a query started there walks that tree."""
+    first = np.cumsum([0] + [t.num_nodes for t in model[:-1]])
+    forest = KdTree()
+    # (3, N) rows side by side, transposed: column-major like every tree
+    forest.mus = np.concatenate([t.mus.T for t in model], axis=1).T
+    forest.directions = np.concatenate([t.directions.T for t in model], axis=1).T
+    forest.left = np.concatenate([np.where(t.left >= 0, t.left + f, -1)
+                                  for t, f in zip(model, first)])
+    forest.depth = max(t.depth for t in model)
+    return forest, first
 
-    For each tree, ``remaining`` is each query's smallest ``|d . (q - mu)|``
-    over the interior nodes of its path at its last descent, less the steps
-    it has taken since. A step of length s moves each such projection by at
+
+class _LeafCache:
+    """Every query's landing leaf in each model tree, kept for one ``icp`` call.
+
+    Row t of each array belongs to tree t: ``ids`` holds the leaves, and
+    ``mu_l``, ``n_l`` and ``valid`` their centroids, normals and normal
+    validity. ``remaining`` is each query's smallest ``|d . (q - mu)|`` over
+    the interior nodes of its path at its last descent, less the steps it
+    has taken since. A step of length s moves each such projection by at
     most s (|d| = 1), so a query with ``remaining > 0`` still lands in the
-    same leaf; the others descend again. 16 B per query per tree, plus the
-    previous queries.
+    same leaf; the others descend again, all trees in one walk of the
+    stacked forest, and only their rows are refreshed. 65 B per query per
+    tree, plus the previous queries and the forest.
     """
 
     def __init__(self, model: "list[KdTree]"):
         self.model = model
+        self.forest, self.first = _stack_forest(model)
         # every node centroid is a mean of its tree's points, which lie
         # within the root's extents of the root centroid
         self.mu_scale = max(float(np.linalg.norm(t.mus[0]) + np.linalg.norm(t.bboxes[0]))
                             for t in model)
         self.q_scale = 0.0
         self.wq_prev = None
-        self.ids: list[np.ndarray] = []
-        self.remaining: list[np.ndarray] = []
 
-    def leaves(self, wq: np.ndarray) -> "list[np.ndarray]":
-        """Leaf ids of the (N, 3) queries ``wq`` in each tree, in tree order."""
+    def update(self, wq: np.ndarray) -> None:
+        """Land the (N, 3) queries ``wq`` in every tree."""
         self.q_scale = max(self.q_scale, float(np.abs(wq).max(initial=0.0)))
         if self.wq_prev is None:
-            self.remaining = [np.empty(wq.shape[0]) for _ in self.model]
-            self.ids = [t.descend(wq, m) for t, m in zip(self.model, self.remaining)]
+            shape = (len(self.model), wq.shape[0])
+            self.ids = np.empty(shape, dtype=np.int64)
+            self.remaining = np.empty(shape)
+            self.mu_l = np.empty(shape + (3,))
+            self.n_l = np.empty(shape + (3,))
+            self.valid = np.empty(shape, dtype=bool)
+            # tree by tree, so the walk's temporaries stay N-sized
+            for t, tree in enumerate(self.model):
+                ids = self.ids[t] = tree.descend(wq, self.remaining[t])
+                self.mu_l[t] = tree.mus[ids]
+                self.n_l[t] = tree.normals.take(ids, axis=0)
+                self.valid[t] = tree.valid[ids]
         else:
             diff = wq - self.wq_prev
             step = np.sqrt(np.einsum("ni,ni->n", diff, diff))
             step += CACHE_SLACK * (self.q_scale + self.mu_scale)
-            for tree, ids, remaining in zip(self.model, self.ids, self.remaining):
-                remaining -= step
-                stale = np.flatnonzero(~(remaining > 0.0))  # NaN descends too
-                if stale.size:
-                    margin = np.empty(stale.size)
-                    ids[stale] = tree.descend(wq[stale], margin)
-                    remaining[stale] = margin
+            self.remaining -= step
+            stale = np.flatnonzero(~(self.remaining > 0.0))  # NaN descends too
+            if stale.size:
+                self._refresh(wq, stale)
         self.wq_prev = wq
-        return self.ids
+
+    def _refresh(self, wq: np.ndarray, stale: np.ndarray) -> None:
+        """Descend the flat (tree, query) rows ``stale`` again, in one walk."""
+        n = wq.shape[0]
+        tree_of, rows = np.divmod(stale, n)
+        roots = self.first[tree_of]
+        margin = np.empty(stale.size)
+        nodes = self.forest.descend(wq.take(rows, axis=0), margin, roots)
+        self.remaining.reshape(-1)[stale] = margin
+        # fancy indexing: take along rows of a column-major array is slow
+        self.mu_l.reshape(-1, 3)[stale] = self.forest.mus[nodes]
+        ids = nodes - roots
+        self.ids.reshape(-1)[stale] = ids
+        # stale is sorted, so each tree's rows are one run of it
+        bounds = np.searchsorted(stale, n * np.arange(len(self.model) + 1))
+        for t, tree in enumerate(self.model):
+            run = slice(bounds[t], bounds[t + 1])
+            if run.start < run.stop:
+                self.n_l.reshape(-1, 3)[stale[run]] = tree.normals.take(ids[run], axis=0)
+                self.valid.reshape(-1)[stale[run]] = tree.valid[ids[run]]
 
 
 def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
@@ -217,21 +280,26 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     iterations = 0
     cost_history: list[float] = []
     cache = _LeafCache(model)
+    jac = np.empty((n_queries, 6))
     start = time.perf_counter()
 
     while True:
         if params.max_iterations is not None and iterations >= params.max_iterations:
+            reason = "iteration_cap"
             break
         if params.time_budget is not None and time.perf_counter() - start >= params.time_budget:
+            reason = "time_budget"
             break
 
         wq = pose.apply(mus_q) if n_queries else mus_q
+        cache.update(wq)
         h = np.zeros((6, 6))
         b = np.zeros(6)
         matched = np.zeros(n_queries, dtype=bool)
         cost = 0.0
-        for tree, ids in zip(model, cache.leaves(wq)):  # fixed tree order: deterministic
-            ht, bt, acc, ct = _accumulate(tree, ids, wq, radii, params.rho_ker)
+        for t in range(len(model)):  # fixed tree order: deterministic
+            ht, bt, acc, ct = _accumulate(wq, radii, cache.mu_l[t], cache.n_l[t],
+                                          cache.valid[t], jac, params.rho_ker)
             h += ht
             b += bt
             matched |= acc
@@ -243,10 +311,12 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
 
         trace = float(np.trace(h))
         if trace <= 0.0:
+            reason = "no_information"
             break
         xi = np.linalg.solve(h + (DAMPING * trace / 6.0) * np.eye(6), -b)
         pose = exp_se3(xi) @ pose
         if float(np.linalg.norm(xi)) < CONVERGENCE_EPSILON:
+            reason = "converged"
             break
 
     p = float(matched.sum()) / n_queries if n_queries else 0.0
@@ -255,6 +325,7 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
         information=h_final,
         matched_fraction=p,
         iterations=iterations,
+        reason=reason,
         cost_history=cost_history,
     )
     eigvals = np.linalg.eigvalsh(h_final)

@@ -1,10 +1,11 @@
 """Keyframe selection and forest maintenance tests."""
 from __future__ import annotations
 
-import numpy as np
-import pytest
+from collections import deque
 
-from madlo.localmap import Keyframe, LocalMap
+import numpy as np
+
+from madlo.localmap import QUEUE_LIMIT, Keyframe, LocalMap, _score
 from madlo.madtree import build_tree
 
 
@@ -25,13 +26,64 @@ def kf(rng, frame, information=None, degenerate=False):
 
 
 def test_candidate_queue_is_bounded():
+    # falling det(H): no candidate outranks an older one, so only the
+    # bound drops any
     rng = np.random.default_rng(61)
     m = LocalMap()
-    frames = [kf(rng, i) for i in range(100)]
+    frames = [kf(rng, i, information=(100.0 - i) * np.eye(6)) for i in range(100)]
     for f in frames:
         m.push_candidate(f)
     assert len(m.candidates) == 64
     assert [c.frame_index for c in m.candidates] == list(range(36, 100))
+
+
+def test_push_drops_candidates_that_cannot_be_promoted():
+    rng = np.random.default_rng(73)
+    m = LocalMap()
+    for i, scale in enumerate([1.0, 3.0, 2.0, 2.0, 0.5]):
+        m.push_candidate(kf(rng, i, information=scale * np.eye(6)))
+    # 0 falls to the higher 1; the first 2.0 to the tie at a later frame
+    assert [c.frame_index for c in m.candidates] == [1, 3, 4]
+    m.push_candidate(kf(rng, 5, degenerate=True))
+    m.push_candidate(kf(rng, 6, degenerate=True))
+    assert [c.frame_index for c in m.candidates] == [1, 3, 4, 6]
+
+
+def test_select_best_matches_unpruned_queue_oracle():
+    """Over random score sequences with -inf, ties and more pushes than the
+    queue holds, interleaved with promotions, the pruned queue promotes what
+    a queue of the last QUEUE_LIMIT pushes, searched in full, would."""
+    rng = np.random.default_rng(74)
+    levels = [0.5 * np.eye(6), np.eye(6), 2.0 * np.eye(6), 3.0 * np.eye(6)]
+    tree = make_tree(rng)
+    for _ in range(20):
+        m = LocalMap()
+        oracle = deque(maxlen=QUEUE_LIMIT)
+        for i in range(int(rng.integers(1, 3 * QUEUE_LIMIT))):
+            if rng.random() < 0.2:
+                f = Keyframe(tree, levels[0], i, degenerate=True)
+            else:
+                f = Keyframe(tree, levels[int(rng.integers(len(levels)))], i)
+            m.push_candidate(f)
+            oracle.append(f)
+            best = max(oracle, key=lambda c: (_score(c), c.frame_index))
+            want = None if _score(best) == -np.inf else best
+            assert m.select_best() is want
+            if rng.random() < 0.05:
+                promoted = m.maybe_update(0.0, 0.8)
+                assert promoted is (want is not None)
+                if promoted:
+                    assert m.keyframes[-1] is want
+                    oracle.clear()
+
+
+def test_score_is_never_nan():
+    rng = np.random.default_rng(75)
+    for information in (np.full((6, 6), np.nan), np.diag([1.0] * 5 + [np.nan]),
+                        np.diag([np.inf] * 6), np.diag([1e-300] * 5 + [np.inf])):
+        score = _score(kf(rng, 0, information=information))
+        assert not np.isnan(score)
+    assert _score(kf(rng, 0, information=np.full((6, 6), np.nan))) == -np.inf
 
 
 def test_push_retains_information_matrix():

@@ -10,6 +10,7 @@ from madlo.registration import (
     DegenerateRegistrationError,
     RegistrationParams,
     _LeafCache,
+    _stack_forest,
     associate,
     gate_radius,
     huber_weight,
@@ -55,11 +56,18 @@ def valid_leaf_mus(tree):
     return tree.leaf_mus()[tree.leaf_valid()]
 
 
+def land(tree, wq):
+    """Leaf ids of the queries and those leaves' centroids, normals and validity."""
+    ids = tree.descend(wq)
+    return ids, tree.mus[ids], tree.normals[ids], tree.valid[ids]
+
+
 def test_associate_identity_self_match(room):
     pts, tree = room
     scan = build_tree(pts)
     mus_q = valid_leaf_mus(scan)[::50]
-    acc, mu_l, _ = associate(tree, tree.descend(mus_q), mus_q, gate_radius(mus_q, 0.2, 0.02))
+    _, mu_l, _, valid = land(tree, mus_q)
+    acc = associate(mus_q, gate_radius(mus_q, 0.2, 0.02), mu_l, valid)
     assert acc.all()
     assert np.abs(mu_l - mus_q).max() < 1e-12
 
@@ -69,7 +77,8 @@ def test_associate_rejects_far_query(room):
     scan = build_tree(pts)
     mus_q = valid_leaf_mus(scan)[:1]
     wq = mus_q + np.array([500.0, 0.0, 0.0])
-    acc, _, _ = associate(tree, tree.descend(wq), wq, gate_radius(mus_q, 0.2, 0.02))
+    _, mu_l, _, valid = land(tree, wq)
+    acc = associate(wq, gate_radius(mus_q, 0.2, 0.02), mu_l, valid)
     assert not acc.any()
 
 
@@ -83,14 +92,13 @@ def test_associate_matches_brute_replay(room):
     pose = random_small_isometry(rng, 3.0, 0.3)
     mus_q = leaves[pick]
     wq = pose.apply(mus_q)
-    acc, mu_l, n_l = associate(tree, tree.descend(wq), wq,
-                               gate_radius(mus_q, 0.2, params.b_ratio))
+    ids, mu_l, _, valid = land(tree, wq)
+    acc = associate(wq, gate_radius(mus_q, 0.2, params.b_ratio), mu_l, valid)
     for k in range(len(pick)):
         want_idx = oracle_path(tree, wq[k])[-1]
         r = 0.2 + np.linalg.norm(mus_q[k]) * params.b_ratio
         want_acc = bool(tree.valid[want_idx]) and np.linalg.norm(tree.mus[want_idx] - wq[k]) <= r
-        assert np.array_equal(mu_l[k], tree.mus[want_idx])
-        assert np.array_equal(n_l[k], tree.normals[want_idx])
+        assert ids[k] == want_idx
         assert acc[k] == want_acc
 
 
@@ -109,8 +117,7 @@ def test_residual_hand_case():
     model = build_tree(pts_m)
     pts_q = pts_m + np.array([0.3, 0.0, 0.0])
     query = build_tree(pts_q)
-    _, mu_l, n_l = associate(model, model.descend(query.mus[:1]), query.mus[:1],
-                           gate_radius(query.mus[:1], 0.2, 0.02))
+    _, mu_l, n_l, _ = land(model, query.mus[:1])
     e, jac = point_to_plane(query.mus[:1], mu_l, n_l)
     assert e[0] == pytest.approx(0.3, abs=1e-12)
     assert np.abs(jac[0, :3] - np.array([1.0, 0.0, 0.0])).max() < 1e-9
@@ -141,18 +148,73 @@ def test_jacobian_matches_central_differences(room):
         assert np.linalg.norm(fd[i] - jac[i]) < 1e-5 * max(1.0, np.linalg.norm(jac[i]))
 
 
-# ----------------------------------------------------------- leaf cache
+def test_point_to_plane_matches_numpy_cross_bit_for_bit():
+    rng = np.random.default_rng(65)
+    wq = rng.uniform(-80.0, 80.0, size=(500, 3))
+    mu_l = wq + rng.normal(scale=0.1, size=(500, 3))
+    n_l = rng.normal(size=(500, 3))
+    n_l /= np.linalg.norm(n_l, axis=1)[:, None]
+    want = np.hstack([n_l, np.cross(wq, n_l)])
+    e, jac = point_to_plane(wq, mu_l, n_l)
+    assert jac.tobytes() == want.tobytes()
+    assert e.tobytes() == np.einsum("ni,ni->n", n_l, wq - mu_l).tobytes()
+    buf = np.full((600, 6), np.nan)
+    _, into = point_to_plane(wq, mu_l, n_l, buf[:500])
+    assert np.shares_memory(into, buf) and into.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------ forest and cache
+
+
+def test_descend_from_start_nodes_walks_each_stacked_tree():
+    """Trees of different depth, a one-leaf tree among them: a query started
+    at a tree's first node lands at that tree's own leaf plus the offset,
+    with the same margin bit for bit."""
+    rng = np.random.default_rng(66)
+    model = [build_tree(room_cloud(rng, 3000, size=20.0)),
+             build_tree(np.array([[1.0, 2.0, 3.0], [1.1, 2.0, 3.0]])),
+             build_tree(room_cloud(rng, 300, size=20.0)),
+             build_tree(room_cloud(rng, 8000, size=40.0))]
+    assert model[1].depth == 0 and len({t.depth for t in model}) == 4
+    forest, first = _stack_forest(model)
+    assert forest.depth == max(t.depth for t in model)
+    assert list(first) == list(np.cumsum([0] + [t.num_nodes for t in model[:-1]]))
+    wq = rng.uniform(-1.0, 41.0, size=(500, 3))
+    tree_of = rng.integers(len(model), size=len(wq))
+    margin = np.empty(len(wq))
+    got = forest.descend(wq, margin, first[tree_of])
+    for t, tree in enumerate(model):
+        rows = tree_of == t
+        want_margin = np.empty(int(rows.sum()))
+        want = tree.descend(wq[rows], want_margin)
+        assert np.array_equal(got[rows], want + first[t])
+        assert margin[rows].tobytes() == want_margin.tobytes()
+    assert (margin[tree_of == 1] == np.inf).all()
+    assert np.array_equal(forest.descend(wq, start=first[0]), model[0].descend(wq))
+
+
+def assert_cache_is_full_descent(cache, model, wq):
+    for t, tree in enumerate(model):
+        ids = tree.descend(wq)
+        assert np.array_equal(cache.ids[t], ids)
+        assert cache.mu_l[t].tobytes() == tree.mus[ids].tobytes()
+        assert cache.n_l[t].tobytes() == tree.normals[ids].tobytes()
+        assert np.array_equal(cache.valid[t], tree.valid[ids])
+
+
 
 
 def test_leaf_cache_matches_full_descent():
-    """Over random forests and rigid motion sequences the cached leaves are
-    those of a full descent, bit for bit: zero steps, shrinking random
-    motions, translations that put a query within 1e-12 m of a split plane on
-    its path, and queries that start exactly on interior centroids."""
+    """Over random forests and rigid motion sequences the cached leaves and
+    their landing data are those of a full descent and gather, bit for bit:
+    zero steps, shrinking random motions, translations that put a query
+    within 1e-12 m of a split plane on its path, and queries that start
+    exactly on interior centroids."""
     rng = np.random.default_rng(62)
     for _ in range(4):
-        model = [build_tree(room_cloud(rng, 3000, size=20.0)) for _ in range(2)]
-        transform_tree(model[1], random_small_isometry(rng, 2.0, 0.3))
+        model = [build_tree(room_cloud(rng, n, size=20.0)) for n in (3000, 600, 3000)]
+        for tree in model[1:]:
+            transform_tree(tree, random_small_isometry(rng, 2.0, 0.3))
         interior = np.flatnonzero(model[0].left >= 0)
         mus_q = np.vstack([rng.uniform(-1.0, 21.0, size=(400, 3)),
                            model[0].mus[rng.choice(interior, size=40)]])
@@ -160,14 +222,14 @@ def test_leaf_cache_matches_full_descent():
         pose = Isometry3.identity()
         for k in range(15):
             wq = pose.apply(mus_q)
-            for tree, ids in zip(model, cache.leaves(wq)):
-                assert np.array_equal(ids, tree.descend(wq))
+            cache.update(wq)
+            assert_cache_is_full_descent(cache, model, wq)
             if k % 3 == 0:
                 continue  # zero step: the same queries again
             if k % 3 == 1:
                 pose = random_small_isometry(rng, 1.0 / k, 0.2 / k) @ pose
                 continue
-            tree = model[int(rng.integers(2))]
+            tree = model[int(rng.integers(len(model)))]
             j = int(rng.integers(len(mus_q)))
             node = int(rng.choice(oracle_path(tree, wq[j])[:-1]))
             d = tree.directions[node]
@@ -176,39 +238,47 @@ def test_leaf_cache_matches_full_descent():
 
 
 def test_leaf_cache_zero_step_descends_only_zero_margins(monkeypatch):
+    """Repeated queries descend again only where they sit on a split plane:
+    one walk per pass over both trees' zero-margin rows."""
     rng = np.random.default_rng(63)
-    tree = build_tree(room_cloud(rng, 3000, size=20.0))
-    on_planes = tree.mus[tree.left >= 0][:30]
+    model = [build_tree(room_cloud(rng, n, size=20.0)) for n in (3000, 1000)]
+    on_planes = np.vstack([t.mus[t.left >= 0][:30] for t in model])
     wq = np.vstack([rng.uniform(-1.0, 21.0, size=(300, 3)), on_planes])
-    margin = np.empty(len(wq))
-    tree.descend(wq, margin)
+    zero = 0
+    for t, tree in enumerate(model):
+        margin = np.empty(len(wq))
+        tree.descend(wq, margin)
+        zero += int((margin == 0.0).sum())
+        assert (margin[300 + 30 * t:330 + 30 * t] == 0.0).all()
     descended = []
     original = KdTree.descend
 
-    def counting(self, queries, margin=None):
+    def counting(self, queries, margin=None, start=None):
         descended.append(len(queries))
-        return original(self, queries, margin)
+        return original(self, queries, margin, start)
 
     monkeypatch.setattr(KdTree, "descend", counting)
-    cache = _LeafCache([tree])
+    cache = _LeafCache(model)
     for _ in range(5):
-        cache.leaves(wq)
-    assert descended == [len(wq)] + [int((margin == 0.0).sum())] * 4
-    assert (margin[300:] == 0.0).all()
+        cache.update(wq)
+    assert descended == [len(wq)] * 2 + [zero] * 4
+    monkeypatch.undo()
+    assert_cache_is_full_descent(cache, model, wq)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_leaf_cache_non_finite_step_descends_again():
     rng = np.random.default_rng(64)
-    tree = build_tree(room_cloud(rng, 3000, size=20.0))
+    model = [build_tree(room_cloud(rng, 3000, size=20.0)) for _ in range(2)]
     wq = rng.uniform(-1.0, 21.0, size=(200, 3))
-    cache = _LeafCache([tree])
-    cache.leaves(wq)
+    cache = _LeafCache(model)
+    cache.update(wq)
     for bad in (np.nan, np.inf, -np.inf):
         moved = wq.copy()
         moved[::7] = bad
-        assert np.array_equal(cache.leaves(moved)[0], tree.descend(moved))
-        assert np.array_equal(cache.leaves(wq)[0], tree.descend(wq))
+        for queries in (moved, wq):
+            cache.update(queries)
+            assert_cache_is_full_descent(cache, model, queries)
 
 
 # ------------------------------------------------------------------- icp
@@ -333,6 +403,27 @@ def test_icp_without_valid_scan_leaves_is_degenerate(room):
     with pytest.raises(DegenerateRegistrationError) as exc:
         icp([tree], scan, Isometry3.identity())
     assert exc.value.result.matched_fraction == 0.0
+
+
+def test_icp_reports_why_it_stopped(room):
+    pts, tree = room
+    rng = np.random.default_rng(68)
+    assert icp([tree], build_tree(pts), Isometry3.identity()).reason == "converged"
+    true = random_small_isometry(rng, 3.0, 0.3)
+    scan = build_tree(true.inverse().apply(pts))
+    capped = icp([tree], scan, Isometry3.identity(), RegistrationParams(max_iterations=2))
+    assert (capped.reason, capped.iterations) == ("iteration_cap", 2)
+    # a pass takes longer than the budget; under load it may run out before the first
+    try:
+        timed = icp([tree], scan, Isometry3.identity(),
+                    RegistrationParams(max_iterations=None, time_budget=1e-5))
+    except DegenerateRegistrationError as err:
+        timed = err.result
+    assert timed.reason == "time_budget" and timed.iterations <= 1
+    far = build_tree(room_cloud(rng, 3000) + 1000.0)  # nothing within the gate
+    with pytest.raises(DegenerateRegistrationError) as exc:
+        icp([tree], far, Isometry3.identity())
+    assert exc.value.result.reason == "no_information"
 
 
 def test_icp_multi_tree_matches_single_tree_reduction(room):
