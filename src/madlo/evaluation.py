@@ -1,9 +1,9 @@
 """Relative pose error over fixed subsequence lengths and its summary curve.
 
-For every start frame i (subsampled by ``step``) and every length L, the
-endpoint j is the smallest frame whose cumulative ground-truth path distance
-from i reaches L. The error of the subsequence is the translation of
-(gt_i^-1 gt_j)^-1 (est_i^-1 est_j), as a percentage of the path distance.
+For every start frame i and every length L, the endpoint j is the smallest
+frame whose cumulative ground-truth path distance from i reaches L. The
+error of the subsequence is the translation of (gt_i^-1 gt_j)^-1
+(est_i^-1 est_j), as a percentage of the path distance.
 Sequence-level errors aggregate into a cumulative count curve whose exact
 area under [0, max_err] ranks methods; a diverged sequence contributes zero
 area no matter how large its error.
@@ -22,7 +22,6 @@ DEFAULT_LENGTHS = tuple(float(v) for v in range(100, 900, 100))
 @dataclass(frozen=True)
 class RpeConfig:
     lengths: tuple = DEFAULT_LENGTHS
-    step: int = 1
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
@@ -30,8 +29,6 @@ class RpeConfig:
             raise ValueError("lengths must be positive")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
-        if self.step < 1:
-            raise ValueError("step must be at least 1")
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -72,7 +69,7 @@ def compute_rpe(est, gt, cfg: RpeConfig = RpeConfig()) -> RpeReport:
         raise ValueError("need at least 2 poses to evaluate")
     cum = _cumulative_path(gt)
     records = []
-    for i in range(0, len(gt), cfg.step):
+    for i in range(len(gt)):
         ends = np.searchsorted(cum, cum[i] + np.asarray(cfg.lengths), side="left")
         for length, j in zip(cfg.lengths, ends):
             if j >= len(gt):

@@ -3,7 +3,7 @@
 Every processed frame becomes a candidate; when scan-to-map overlap drops,
 the candidate whose registration carried the most information (largest
 det(H), i.e. the tightest pose covariance) is promoted to a keyframe. The
-forest holds world-frame trees only and evicts the oldest keyframe beyond
+forest holds world-frame trees only and drops the oldest keyframe beyond
 capacity, keeping update cost bounded.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .madtree import KdTree
 
-# keyframes kept in the forest; the oldest beyond this is evicted
+# keyframes kept in the forest; the oldest beyond this is dropped
 CAPACITY = 8
 # only the candidates of this many latest pushes can be promoted
 QUEUE_LIMIT = 64
@@ -56,10 +56,15 @@ class LocalMap:
     oldest candidate down to its newest, and its head is the best of the
     last ``QUEUE_LIMIT`` pushes (a sliding-window maximum). A score is never
     NaN (see ``_score``), so any two ranks compare.
+
+    Keyframes arrive in frame order: ``install`` only bootstraps an empty
+    map, and the queue is cleared at each promotion, so a promoted candidate
+    is newer than every keyframe. ``keyframes`` is a deque of at most
+    ``CAPACITY``, and dropping its first entry drops the oldest keyframe.
     """
 
     def __init__(self):
-        self.keyframes: list[Keyframe] = []
+        self.keyframes: deque[Keyframe] = deque(maxlen=CAPACITY)
         self.candidates: deque[Keyframe] = deque()
         # (score, frame index, push count) of each candidate, in queue order
         self._ranks: deque[tuple[float, int, int]] = deque()
@@ -84,7 +89,6 @@ class LocalMap:
     def install(self, kf: Keyframe) -> None:
         """Unconditional insertion (bootstrap frame)."""
         self.keyframes.append(kf)
-        self._evict()
 
     def select_best(self) -> Keyframe | None:
         """Candidate with maximal det(H); ties go to the most recent frame."""
@@ -104,14 +108,6 @@ class LocalMap:
         if best is None:
             return False
         self.keyframes.append(best)
-        self._evict()
         self.candidates.clear()
         self._ranks.clear()
         return True
-
-    def _evict(self) -> None:
-        while len(self.keyframes) > CAPACITY:
-            oldest = min(range(len(self.keyframes)),
-                         key=lambda i: self.keyframes[i].frame_index)
-            self.keyframes.pop(oldest)
-

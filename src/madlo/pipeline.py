@@ -49,8 +49,6 @@ def validate_config(config: RunConfig) -> None:
     if not 0.0 <= config.min_range < config.max_range:
         raise ValueError("need 0 <= min_range < max_range, got "
                          f"{config.min_range}..{config.max_range}")
-    if config.max_iterations is not None and config.max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {config.max_iterations}")
 
 
 @dataclass(frozen=True)

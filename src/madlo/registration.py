@@ -19,13 +19,13 @@ Within one call the trees stay put and the queries move only by the pose
 increments, so every query keeps its leaf in each tree across passes, and
 is sent down a tree again only once its accumulated motion may have carried
 it across a split plane on its path (cached kd-tree search, Nuechter,
-Lingemann & Hertzberg, 3DIM 2007, made exact). The cached leaves are those
-a full descent would give, bit for bit. The cache also keeps what each
-query found there: the landing centroid, normal and validity. For the
-re-descents, the call stacks the trees' walk columns (centroids, split
-directions, offset child ids: 56 B per node) into one forest, so each pass
-makes one ``KdTree.descend`` over every tree's stale queries, each starting
-at its own tree's root. The cache costs 65 B per query per tree.
+Lingemann & Hertzberg, 3DIM 2007, made exact). For each query and tree
+the cache keeps the landing leaf's centroid, normal and validity, bit for
+bit those of a full descent. The call stacks the trees (centroid, split direction, normal, validity, offset
+child id: 81 B per node) into one forest. Each pass sends the stale
+(tree, query) rows down it with ``KdTree.descend``, each from its own
+tree's root, and gathers their landing data from it; on the first pass
+every row is stale. The cache costs 57 B per query per tree.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ CACHE_SLACK = 64.0 * np.finfo(float).eps
 class RegistrationParams:
     b_ratio: float = 0.02        # gate growth per meter of range
     rho_ker: float = 0.1         # Huber kernel width, meters
-    max_iterations: int | None = 15
+    max_iterations: int = 15
     time_budget: float | None = None  # seconds, anytime cutoff
 
     def __post_init__(self):
@@ -79,8 +79,8 @@ class RegistrationParams:
             raise ValueError("b_ratio and rho_ker must be positive")
         if self.time_budget is not None and not self.time_budget > 0.0:
             raise ValueError("time_budget must be positive")
-        if self.max_iterations is None and self.time_budget is None:
-            raise ValueError("need max_iterations or time_budget to terminate")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an int >= 1, got {self.max_iterations!r}")
 
 
 @dataclass
@@ -170,13 +170,15 @@ def _accumulate(wq: np.ndarray, radii: np.ndarray, mu_l: np.ndarray, n_l: np.nda
 
 
 def _stack_forest(model: "list[KdTree]"):
-    """The trees as one ``KdTree`` holding only what ``descend`` reads, and
-    each tree's first node in it: a query started there walks that tree."""
+    """The trees as one ``KdTree`` holding what the walk and the cache read,
+    and each tree's first node in it: a query started there walks that tree."""
     first = np.cumsum([0] + [t.num_nodes for t in model[:-1]])
     forest = KdTree()
     # (3, N) rows side by side, transposed: column-major like every tree
     forest.mus = np.concatenate([t.mus.T for t in model], axis=1).T
     forest.directions = np.concatenate([t.directions.T for t in model], axis=1).T
+    forest.normals = np.concatenate([t.normals for t in model])
+    forest.valid = np.concatenate([t.valid for t in model])
     forest.left = np.concatenate([np.where(t.left >= 0, t.left + f, -1)
                                   for t, f in zip(model, first)])
     forest.depth = max(t.depth for t in model)
@@ -184,21 +186,22 @@ def _stack_forest(model: "list[KdTree]"):
 
 
 class _LeafCache:
-    """Every query's landing leaf in each model tree, kept for one ``icp`` call.
+    """What every query found in each model tree, kept for one ``icp`` call.
 
-    Row t of each array belongs to tree t: ``ids`` holds the leaves, and
-    ``mu_l``, ``n_l`` and ``valid`` their centroids, normals and normal
-    validity. ``remaining`` is each query's smallest ``|d . (q - mu)|`` over
+    Row t of each array belongs to tree t: ``mu_l``, ``n_l`` and ``valid``
+    hold the centroid, normal and normal validity of the leaf the query
+    lands in. ``remaining`` is each query's smallest ``|d . (q - mu)|`` over
     the interior nodes of its path at its last descent, less the steps it
     has taken since. A step of length s moves each such projection by at
     most s (|d| = 1), so a query with ``remaining > 0`` still lands in the
-    same leaf; the others descend again, all trees in one walk of the
-    stacked forest, and only their rows are refreshed. 65 B per query per
-    tree, plus the previous queries and the forest.
+    same leaf; the others are stale. ``remaining`` starts at 0, so on the
+    first pass every row is. Stale rows descend the stacked forest again,
+    at most N per walk so its temporaries stay N-sized, and only they are
+    refreshed. 57 B per query per tree, plus the previous queries and the
+    forest.
     """
 
     def __init__(self, model: "list[KdTree]"):
-        self.model = model
         self.forest, self.first = _stack_forest(model)
         # every node centroid is a mean of its tree's points, which lie
         # within the root's extents of the root centroid
@@ -209,49 +212,32 @@ class _LeafCache:
 
     def update(self, wq: np.ndarray) -> None:
         """Land the (N, 3) queries ``wq`` in every tree."""
+        n = wq.shape[0]
         self.q_scale = max(self.q_scale, float(np.abs(wq).max(initial=0.0)))
         if self.wq_prev is None:
-            shape = (len(self.model), wq.shape[0])
-            self.ids = np.empty(shape, dtype=np.int64)
-            self.remaining = np.empty(shape)
+            shape = (len(self.first), n)
+            self.remaining = np.zeros(shape)
             self.mu_l = np.empty(shape + (3,))
             self.n_l = np.empty(shape + (3,))
             self.valid = np.empty(shape, dtype=bool)
-            # tree by tree, so the walk's temporaries stay N-sized
-            for t, tree in enumerate(self.model):
-                ids = self.ids[t] = tree.descend(wq, self.remaining[t])
-                self.mu_l[t] = tree.mus[ids]
-                self.n_l[t] = tree.normals.take(ids, axis=0)
-                self.valid[t] = tree.valid[ids]
         else:
             diff = wq - self.wq_prev
             step = np.sqrt(np.einsum("ni,ni->n", diff, diff))
             step += CACHE_SLACK * (self.q_scale + self.mu_scale)
             self.remaining -= step
-            stale = np.flatnonzero(~(self.remaining > 0.0))  # NaN descends too
-            if stale.size:
-                self._refresh(wq, stale)
         self.wq_prev = wq
-
-    def _refresh(self, wq: np.ndarray, stale: np.ndarray) -> None:
-        """Descend the flat (tree, query) rows ``stale`` again, in one walk."""
-        n = wq.shape[0]
-        tree_of, rows = np.divmod(stale, n)
-        roots = self.first[tree_of]
-        margin = np.empty(stale.size)
-        nodes = self.forest.descend(wq.take(rows, axis=0), margin, roots)
-        self.remaining.reshape(-1)[stale] = margin
-        # fancy indexing: take along rows of a column-major array is slow
-        self.mu_l.reshape(-1, 3)[stale] = self.forest.mus[nodes]
-        ids = nodes - roots
-        self.ids.reshape(-1)[stale] = ids
-        # stale is sorted, so each tree's rows are one run of it
-        bounds = np.searchsorted(stale, n * np.arange(len(self.model) + 1))
-        for t, tree in enumerate(self.model):
-            run = slice(bounds[t], bounds[t + 1])
-            if run.start < run.stop:
-                self.n_l.reshape(-1, 3)[stale[run]] = tree.normals.take(ids[run], axis=0)
-                self.valid.reshape(-1)[stale[run]] = tree.valid[ids[run]]
+        stale = np.flatnonzero(~(self.remaining > 0.0))  # NaN descends too
+        forest = self.forest
+        for lo in range(0, stale.size, max(n, 1)):
+            rows = stale[lo:lo + n]
+            tree_of, q = np.divmod(rows, n)
+            margin = np.empty(rows.size)
+            nodes = forest.descend(wq.take(q, axis=0), margin, self.first[tree_of])
+            self.remaining.reshape(-1)[rows] = margin
+            # fancy indexing: take along rows of a column-major array is slow
+            self.mu_l.reshape(-1, 3)[rows] = forest.mus[nodes]
+            self.n_l.reshape(-1, 3)[rows] = forest.normals.take(nodes, axis=0)
+            self.valid.reshape(-1)[rows] = forest.valid.take(nodes)
 
 
 def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
@@ -284,14 +270,14 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     start = time.perf_counter()
 
     while True:
-        if params.max_iterations is not None and iterations >= params.max_iterations:
+        if iterations >= params.max_iterations:
             reason = "iteration_cap"
             break
         if params.time_budget is not None and time.perf_counter() - start >= params.time_budget:
             reason = "time_budget"
             break
 
-        wq = pose.apply(mus_q) if n_queries else mus_q
+        wq = pose.apply(mus_q)
         cache.update(wq)
         h = np.zeros((6, 6))
         b = np.zeros(6)

@@ -16,7 +16,7 @@ from madlo.geometry import Isometry3, exp_se3, exp_so3
 from madlo.motion import StampedPose
 
 
-def oracle_rpe(est_mats, gt_mats, lengths, step=1):
+def oracle_rpe(est_mats, gt_mats, lengths):
     """Reference RPE on 4x4 matrices: linear scans and np.linalg.inv only."""
     n = len(gt_mats)
     dist = [0.0]
@@ -24,7 +24,7 @@ def oracle_rpe(est_mats, gt_mats, lengths, step=1):
         dist.append(dist[-1] + float(np.linalg.norm(
             gt_mats[k][:3, 3] - gt_mats[k - 1][:3, 3])))
     records = []
-    for i in range(0, n, step):
+    for i in range(n):
         for length in lengths:
             j = None
             for k in range(i, n):
@@ -89,7 +89,7 @@ def test_rpe_matches_plain_matrix_oracle():
     rng = np.random.default_rng(111)
     gt = walk_trajectory(rng, 30)
     est = perturb(gt, rng, 0.05)
-    cfg = RpeConfig(lengths=(2.0, 5.0), step=1)
+    cfg = RpeConfig(lengths=(2.0, 5.0))
     report = compute_rpe(est, gt, cfg)
     expected = oracle_rpe([sp.pose.matrix() for sp in est],
                           [sp.pose.matrix() for sp in gt], cfg.lengths)
@@ -126,13 +126,6 @@ def test_rpe_skips_lengths_past_trajectory_end():
     assert all(r.length == 5.0 for r in report.records)
 
 
-def test_rpe_start_stride():
-    gt = straight_line(40)
-    report = compute_rpe(gt, gt, RpeConfig(lengths=(3.0,), step=7))
-    assert {r.start for r in report.records} <= {0, 7, 14, 21, 28, 35}
-    assert 0 in {r.start for r in report.records}
-
-
 def test_rpe_gauge_invariance():
     rng = np.random.default_rng(112)
     gt = walk_trajectory(rng, 40)
@@ -158,8 +151,6 @@ def test_rpe_validation():
     for bad in ((), (-1.0,), (5.0, 5.0), (5.0, 2.0)):
         with pytest.raises(ValueError):
             RpeConfig(lengths=bad)
-    with pytest.raises(ValueError):
-        RpeConfig(step=0)
 
 
 # ------------------------------------------------------------------ curve

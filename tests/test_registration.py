@@ -191,12 +191,16 @@ def test_descend_from_start_nodes_walks_each_stacked_tree():
         assert margin[rows].tobytes() == want_margin.tobytes()
     assert (margin[tree_of == 1] == np.inf).all()
     assert np.array_equal(forest.descend(wq, start=first[0]), model[0].descend(wq))
+    for t, tree in enumerate(model):
+        nodes = slice(first[t], first[t] + tree.num_nodes)
+        assert forest.normals[nodes].tobytes() == tree.normals.tobytes()
+        assert np.array_equal(forest.valid[nodes], tree.valid)
+    assert len(forest.normals) == len(forest.valid) == len(forest.left)
 
 
 def assert_cache_is_full_descent(cache, model, wq):
     for t, tree in enumerate(model):
         ids = tree.descend(wq)
-        assert np.array_equal(cache.ids[t], ids)
         assert cache.mu_l[t].tobytes() == tree.mus[ids].tobytes()
         assert cache.n_l[t].tobytes() == tree.normals[ids].tobytes()
         assert np.array_equal(cache.valid[t], tree.valid[ids])
@@ -405,6 +409,20 @@ def test_icp_without_valid_scan_leaves_is_degenerate(room):
     assert exc.value.result.matched_fraction == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_icp_scan_with_only_an_invalid_leaf_has_no_information(room):
+    """No valid scan leaf means no queries: the cache walks nothing and the
+    one pass finds no information, without a warning."""
+    pts, tree = room
+    model = [tree, build_tree(pts[::3])]
+    scan = build_tree(np.array([[1.0, 2.0, 3.0], [1.1, 2.0, 3.0]]))
+    assert scan.num_leaves == 1 and not scan.leaf_valid().any()
+    with pytest.raises(DegenerateRegistrationError) as exc:
+        icp(model, scan, Isometry3.identity())
+    res = exc.value.result
+    assert (res.reason, res.iterations, res.matched_fraction) == ("no_information", 1, 0.0)
+
+
 def test_icp_reports_why_it_stopped(room):
     pts, tree = room
     rng = np.random.default_rng(68)
@@ -416,7 +434,7 @@ def test_icp_reports_why_it_stopped(room):
     # a pass takes longer than the budget; under load it may run out before the first
     try:
         timed = icp([tree], scan, Isometry3.identity(),
-                    RegistrationParams(max_iterations=None, time_budget=1e-5))
+                    RegistrationParams(max_iterations=10**6, time_budget=1e-5))
     except DegenerateRegistrationError as err:
         timed = err.result
     assert timed.reason == "time_budget" and timed.iterations <= 1
@@ -447,5 +465,6 @@ def test_registration_params_validation():
                 dict(time_budget=0.0), dict(time_budget=-0.005), dict(time_budget=nan)):
         with pytest.raises(ValueError):
             RegistrationParams(**bad)
-    with pytest.raises(ValueError):
-        RegistrationParams(max_iterations=None, time_budget=None)
+    for bad in (0, -1, None):
+        with pytest.raises(ValueError):
+            RegistrationParams(max_iterations=bad)
