@@ -57,14 +57,6 @@ def _drop_non_finite(path, points: np.ndarray, times: np.ndarray | None = None):
     return points[keep], None if times is None else times[keep]
 
 
-def write_kitti_bin(path, cloud: PointCloud) -> None:
-    """Write a cloud as packed float32 (x, y, z, intensity) records, with
-    zero intensity."""
-    rec = np.zeros((len(cloud), 4), dtype="<f4")
-    rec[:, :3] = cloud.points
-    rec.tofile(path)
-
-
 def filter_range(cloud: PointCloud, min_range, max_range) -> PointCloud:
     """Keep points whose distance from the origin lies in the closed band."""
     if not 0.0 <= min_range < max_range:
@@ -204,26 +196,6 @@ def read_ply(path) -> PointCloud:
     points, times = _drop_non_finite(path, points, times)
     rel = None if times is None else _normalize_times(times)
     return PointCloud(points, rel_times=rel)
-
-
-def write_ply(path, cloud: PointCloud, binary=True) -> None:
-    """Write x/y/z (and time when rel_times is present) as doubles."""
-    names = ["x", "y", "z"] + (["time"] if cloud.rel_times is not None else [])
-    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
-              f"element vertex {len(cloud)}"]
-    header += [f"property double {name}" for name in names]
-    header.append("end_header")
-    table = np.zeros(len(cloud), dtype=np.dtype([(n, "<f8") for n in names]))
-    table["x"], table["y"], table["z"] = cloud.points.T
-    if cloud.rel_times is not None:
-        table["time"] = cloud.rel_times
-    with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            f.write(table.tobytes())
-        else:
-            rows = (" ".join(FLOAT_FORMAT % row[n] for n in names) for row in table)
-            f.write(("\n".join(rows) + ("\n" if len(cloud) else "")).encode("ascii"))
 
 
 # ----------------------------------------------------------- trajectories

@@ -187,15 +187,88 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def eig_sym3_batch(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a (N,3,3) stack of symmetric matrices.
+# eig_sym3 scales each matrix to a largest entry in [0.5, 1); there, a matrix
+# whose deviatoric part A - tr(A)/3 I has a root mean square entry below this
+# is a multiple of the identity, and a pair of eigenvalues less than twice
+# this apart is repeated
+REPEATED_TOL = 1e-12
 
-    Eigenvalues come out ascending. Eigenvector columns are sign-normalized
-    (largest-magnitude component positive) so repeated decompositions are
-    reproducible.
+
+def eig_sym3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigen-decomposition of F symmetric 3x3 matrices.
+
+    ``m`` is (6, F): the rows xx, xy, xz, yy, yz, zz. Returns the eigenvalues
+    as (3, F), ascending, and the eigenvectors as (3, 3, F): ``vecs[j]``
+    belongs to ``vals[j]`` and holds one row per axis.
+
+    The eigenvalues are trigonometric (Smith 1961). The end eigenvalue
+    (smallest or largest) that lies farther from the middle one is accurate,
+    and its eigenvector is the longest of the three cross products of rows
+    of A - lambda I, the columns of its adjugate (Kopp, arXiv
+    physics/0610206). The other two eigenvectors diagonalize A restricted to
+    the plane normal to it, in a fixed basis of that plane: the axis least
+    aligned with the first vector, made orthogonal to it, and their cross
+    product. Near a repeated eigenvalue that keeps the accuracy of LAPACK's
+    ``eigh``, which the trigonometric value of the repeated pair does not
+    have, and a repeated pair gets the fixed basis. A multiple of the
+    identity, the zero matrix included, gets the identity basis, as from
+    ``eigh``. Every vector is sign-normalized (largest-magnitude component
+    positive) so repeated decompositions agree.
     """
-    vals, vecs = np.linalg.eigh(ms)
-    idx = np.argmax(np.abs(vecs), axis=1)  # (N,3) row of max |component| per column
-    picked = np.take_along_axis(vecs, idx[:, None, :], axis=1)[:, 0, :]
-    flip = np.where(picked < 0.0, -1.0, 1.0)
-    return vals, vecs * flip[:, None, :]
+    m = np.asarray(m, dtype=float)
+    # scaling by a power of two is exact, and with the largest entry in
+    # [0.5, 1) no product below overflows or underflows
+    _, e = np.frexp(np.abs(m).max(axis=0))
+    xx, xy, xz, yy, yz, zz = np.ldexp(m, -e)
+    # B = A - q I has the eigenvectors of A and eigenvalues 2 p cos(...)
+    q = (xx + yy + zz) / 3.0
+    a, d, g = xx - q, yy - q, zz - q
+    p = np.sqrt((a * a + d * d + g * g + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
+    det = a * (d * g - yz * yz) - xy * (xy * g - yz * xz) + xz * (xy * yz - d * xz)
+    r = np.clip(det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny), -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    # phi in [0, pi/3]: below pi/6 the largest eigenvalue is the farther end
+    upper = phi < np.pi / 6.0
+    lam = 2.0 * p * np.cos(np.where(upper, phi, phi + 2.0 * np.pi / 3.0))
+
+    ma, md, mg = a - lam, d - lam, g - lam
+    a01, a02, a12 = xz * yz - xy * mg, xy * yz - xz * md, xy * xz - ma * yz
+    cols = np.array([[md * mg - yz * yz, a01, a02],
+                     [a01, ma * mg - xz * xz, a12],
+                     [a02, a12, ma * md - xy * xy]])  # (column, axis, F)
+    sq = np.einsum("ckf,ckf->cf", cols, cols)
+    best = np.argmax(sq, axis=0)
+    u = np.take_along_axis(cols, best[None, None], axis=0)[0]
+    iso = p <= REPEATED_TOL
+    u /= np.sqrt(np.where(iso, 1.0, np.take_along_axis(sq, best[None], axis=0)[0]))
+
+    # the axis with the smallest |component| of u is at most 1/sqrt(3) along
+    # it, so what is left of it after removing u is never short
+    k = np.argmin(np.abs(u), axis=0)
+    s = np.eye(3)[:, k] - np.take_along_axis(u, k[None], axis=0) * u
+    s /= np.sqrt(np.einsum("kf,kf->f", s, s))
+    t = np.array([u[1] * s[2] - u[2] * s[1], u[2] * s[0] - u[0] * s[2], u[0] * s[1] - u[1] * s[0]])
+    bs = np.array([a * s[0] + xy * s[1] + xz * s[2],
+                   xy * s[0] + d * s[1] + yz * s[2],
+                   xz * s[0] + yz * s[1] + g * s[2]])
+    b11 = np.einsum("kf,kf->f", s, bs)
+    b12 = np.einsum("kf,kf->f", t, bs)
+    b22 = (a * t[0] + 2.0 * (xy * t[1] + xz * t[2])) * t[0] + (d * t[1] + 2.0 * yz * t[2]) * t[1] \
+        + g * t[2] * t[2]
+    # the Jacobi rotation that diagonalizes [[b11, b12], [b12, b22]], whose
+    # eigenvalues are half -+ rad; a repeated pair keeps (s, t) as it is
+    half, rad = 0.5 * (b11 + b22), np.hypot(0.5 * (b11 - b22), b12)
+    theta = np.where(rad > REPEATED_TOL, 0.5 * np.arctan2(2.0 * b12, b11 - b22), 0.0)
+    cos, sin = np.cos(theta), np.sin(theta)
+    big, small = cos * s + sin * t, cos * t - sin * s
+    lo, hi = half - rad, half + rad
+    vecs = np.array([np.where(upper, small, u), np.where(upper, big, small), np.where(upper, u, big)])
+    vals = np.array([np.where(upper, lo, lam), np.where(upper, hi, lo), np.where(upper, lam, hi)])
+    vecs[:, :, iso] = np.eye(3)[:, :, None]
+    vals[:, iso] = 0.0
+    # sign rule: the first component of largest magnitude is positive
+    ax, ay, az = np.abs(vecs[:, 0]), np.abs(vecs[:, 1]), np.abs(vecs[:, 2])
+    picked = np.where((ax >= ay) & (ax >= az), vecs[:, 0], np.where(ay >= az, vecs[:, 1], vecs[:, 2]))
+    vecs *= np.where(picked < 0.0, -1.0, 1.0)[:, None]
+    # the pair and the end agree to rounding when all three nearly coincide
+    return np.sort(np.ldexp(vals + q, e), axis=0), vecs

@@ -1,16 +1,23 @@
 """PCA kd-tree whose leaves are small planar surface patches.
 
-Every node carries the centroid, the covariance eigenbasis (smallest-spread
-axis = surface normal, largest-spread axis = splitting direction) and the
-oriented bounding-box extents of its point subset. Splitting recurses until
-the largest extent drops below ``b_max``; very flat ancestors (smallest
-extent below ``b_min``) push their normal down to all descendant leaves,
-which rescues leaves too sparse to estimate one themselves.
+Every node carries the centroid and the covariance eigenbasis (smallest-
+spread axis = surface normal, largest-spread axis = splitting direction) of
+its point subset. The extents of the subset along that basis (its oriented
+bounding box) decide the splits and are then dropped; only the root's
+diagonal is kept. Splitting recurses until the largest extent drops below
+``b_max``; very flat ancestors (smallest extent below ``b_min``) push their
+normal down to all descendant leaves, which rescues leaves too sparse to
+estimate one themselves.
 
 The build is level-synchronous: each pass computes statistics for every node
 of one depth with batched array ops over one contiguous block of those nodes'
 points, then gathers the interior nodes' points, split side by side, into
 the next level's block, so cost stays near O(N log N) with small constants.
+The eigenbases come in closed form (``geometry.eig_sym3``) from the six
+moment rows, with no LAPACK call; the per-point rows live in buffers made
+once per build that every level reuses; and the split is a stable sort of
+16-bit keys, which numpy does by radix, while a level has fewer than 32768
+interior nodes.
 """
 from __future__ import annotations
 
@@ -18,17 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Isometry3, PointCloud, eig_sym3_batch
+from .geometry import Isometry3, PointCloud, eig_sym3
 
 # nodes with fewer points than this cannot estimate a covariance plane and
 # terminate as leaves with an invalid normal unless an ancestor donated one
 MIN_SPLIT_POINTS = 3
-
-# where the six distinct covariance entries (xx, xy, xz, yy, yz, zz) land in
-# the symmetric 3x3 matrix
-_COV_SYM = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
-# a one-point node's covariance is exactly zero, so its eigenbasis is fixed
-_SINGLE_POINT_BASIS = eig_sym3_batch(np.zeros((1, 3, 3)))[1][0]
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,13 @@ class KdTree:
     ``descend`` reads each axis as one contiguous column.
 
     Nodes keep only statistics, never the raw points or their order: a
-    build point descends to the leaf that owns it.
+    build point descends to the leaf that owns it. ``root_diagonal`` is the
+    length of the diagonal of the root's oriented bounding box: every build
+    point, and so every node centroid, lies within it of the root centroid.
     """
 
     __slots__ = (
-        "params", "mus", "normals", "directions", "bboxes",
+        "params", "mus", "normals", "directions", "root_diagonal",
         "valid", "left", "leaf_ids", "depth",
     )
 
@@ -135,57 +138,68 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     if n == 0:
         raise ValueError("cannot build a tree over an empty cloud")
 
-    # each level holds its nodes' points as one (3, n_act) block, node after
-    # node, one contiguous row per axis so every per-point pass is a flat loop;
-    # lo is a node's offset in the final left-to-right order of the points
-    p = np.ascontiguousarray(pts.T)
+    # each level holds its nodes' points as one (3, m) block, node after node,
+    # one contiguous row per axis so every per-point pass is a flat loop; that
+    # block, its centred copy and three rows of work (products d_i * d_j, then
+    # offsets y) live at the front of three flat buffers made once per build,
+    # and the next level's block is gathered over the centred copy; lo is a
+    # node's offset in the final left-to-right order of the points
+    points, centred, work = np.empty((3, 3 * n))
+    row = np.empty(n)
+    m = n
+    p = points[:3 * m].reshape(3, m)
+    p[:] = pts.T
     lo = np.array([0], dtype=np.int64)
     lengths = np.array([n], dtype=np.int64)
     inherits = np.array([False])
     inh_n = np.zeros((1, 3))
 
-    mus_l, normals_l, dirs_l, bbox_l = [], [], [], []
+    mus_l, normals_l, dirs_l = [], [], []
     lo_l, valid_l, left_l = [], [], []
     allocated = 1
     depth = 0
 
     while True:
         f = lo.size
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
+        starts = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(f), lengths)
+
+        def spread(values: np.ndarray) -> np.ndarray:
+            """One value per node, repeated over the node's points in ``row``."""
+            return values.take(owner, out=row[:m], mode="clip")
 
         mu = np.add.reduceat(p, starts, axis=1) / lengths
-        d = p - np.repeat(mu, lengths, axis=1)
-        # covariance from the six distinct products d_i * d_j
-        prods = np.empty((6, p.shape[1]))
-        np.multiply(d[0], d, out=prods[0:3])
-        np.multiply(d[1], d[1:], out=prods[3:5])
-        np.multiply(d[2], d[2], out=prods[5])
-        moments = np.add.reduceat(prods, starts, axis=1)
-        cov = (moments / lengths)[_COV_SYM].T.reshape(f, 3, 3)
-        # every one-point node shares the zero matrix's eigenbasis
-        single = lengths == 1
-        vecs = np.empty((f, 3, 3))
-        vecs[single] = _SINGLE_POINT_BASIS
-        vecs[~single] = eig_sym3_batch(cov[~single])[1]
-        normal_pca = np.ascontiguousarray(vecs[:, :, 0])
+        d = centred[:3 * m].reshape(3, m)
+        for k in range(3):
+            np.subtract(p[k], spread(mu[k]), out=d[k])
+        # covariance from the six distinct products d_i * d_j, three at a time
+        w = work[:3 * m].reshape(3, m)
+        np.multiply(d[0], d, out=w)
+        xx_xy_xz = np.add.reduceat(w, starts, axis=1)
+        np.multiply(d[1], d[1:], out=w[:2])
+        np.multiply(d[2], d[2], out=w[2])
+        moments = np.concatenate([xx_xy_xz, np.add.reduceat(w, starts, axis=1)])
+        vecs = eig_sym3(moments / lengths)[1]
 
-        # y[j] = d . vecs[:, j]: the offsets in each node's eigenbasis
-        v = np.repeat(vecs.reshape(f, 9).T, lengths, axis=1)
-        y = d[0] * v[0:3] + d[1] * v[3:6] + d[2] * v[6:9]
+        # y[j] = d . vecs[j]: the offsets in each node's eigenbasis
+        y = w
+        for j in range(3):
+            np.multiply(d[0], spread(vecs[j, 0]), out=y[j])
+            y[j] += np.multiply(d[1], spread(vecs[j, 1]), out=row[:m])
+            y[j] += np.multiply(d[2], spread(vecs[j, 2]), out=row[:m])
         ext = np.maximum.reduceat(y, starts, axis=1) - np.minimum.reduceat(y, starts, axis=1)
-        bbox = np.sort(ext.T, axis=1)
-
-        is_leaf = (bbox[:, 2] < params.b_max) | (lengths < MIN_SPLIT_POINTS)
+        if depth == 0:
+            root_diagonal = float(np.linalg.norm(ext[:, 0]))
 
         # y[2] is direction . (p - mu), the split predicate
         go_right = y[2] > 0.0
-        right_before = np.concatenate([[0], np.cumsum(go_right)])
-        nr = right_before[ends] - right_before[starts]
+        nr = np.add.reduceat(go_right, starts, dtype=np.int64)
+        is_leaf = (ext.max(axis=0) < params.b_max) | (lengths < MIN_SPLIT_POINTS)
         # a split that moves nothing (numerically coincident points) ends here
         is_leaf |= (nr == 0) | (nr == lengths)
         interior = ~is_leaf
 
+        normal_pca = vecs[0].T
         normal = normal_pca.copy()
         take = is_leaf & inherits
         normal[take] = inh_n[take]
@@ -199,19 +213,27 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
 
         mus_l.append(mu)
         normals_l.append(normal)
-        dirs_l.append(np.ascontiguousarray(vecs[:, :, 2].T))
-        bbox_l.append(bbox)
+        dirs_l.append(vecs[2].copy())
         lo_l.append(lo)
         valid_l.append(valid)
         left_l.append(left_ids)
 
         if n_int == 0:
             break
-        # keep only the interior nodes' points, each node's left side first
-        kept = np.flatnonzero(np.repeat(interior, lengths))
-        key = np.repeat(2 * np.arange(n_int, dtype=np.int64), lengths[interior])
-        key += go_right[kept]
-        p = p[:, kept[np.argsort(key, kind="stable")]]
+        # keep only the interior nodes' points, each node's left side first:
+        # a stable sort by (interior rank, side), a leaf's points last; a
+        # stable argsort of 16-bit keys is a radix sort
+        key_type = np.uint16 if 2 * n_int <= np.iinfo(np.uint16).max else np.int64
+        node_key = np.full(f, 2 * n_int, dtype=key_type)
+        node_key[interior] = 2 * np.arange(n_int, dtype=key_type)
+        key = node_key.take(owner)
+        key += go_right
+        m_next = int(lengths[interior].sum())
+        order = np.argsort(key, kind="stable")[:m_next]
+        p = np.take(p, order, axis=1, mode="clip",
+                    out=centred[:3 * m_next].reshape(3, m_next))
+        points, centred = centred, points
+        m = m_next
 
         # next frontier: interleave (left, right) children per interior node
         ilo, inr = lo[interior], nr[interior]
@@ -221,7 +243,7 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         lo[0::2], lengths[0::2] = ilo, inl
         lo[1::2], lengths[1::2] = ilo + inl, inr
 
-        child_inherits = inherits[interior] | (bbox[interior, 0] < params.b_min)
+        child_inherits = inherits[interior] | (ext[:, interior].min(axis=0) < params.b_min)
         child_n = np.where(inherits[interior, None], inh_n[interior], normal_pca[interior])
         inherits = np.repeat(child_inherits, 2)
         inh_n = np.repeat(child_n, 2, axis=0)
@@ -233,7 +255,7 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     tree.mus = np.concatenate(mus_l, axis=1).T
     tree.normals = np.concatenate(normals_l)
     tree.directions = np.concatenate(dirs_l, axis=1).T
-    tree.bboxes = np.concatenate(bbox_l)
+    tree.root_diagonal = root_diagonal
     tree.valid = np.concatenate(valid_l)
     tree.left = np.concatenate(left_l)
     tree.depth = depth
@@ -245,7 +267,8 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
 
 
 def transform_tree(tree: KdTree, x: Isometry3) -> None:
-    """Rigidly move every node in place; extents are invariant, no rebuild."""
+    """Rigidly move every node in place; ``root_diagonal`` is invariant, no
+    rebuild."""
     rt = x.rotation.T
     # empty_like keeps the column-major layout that descend reads
     mus = np.matmul(tree.mus, rt, out=np.empty_like(tree.mus))

@@ -204,9 +204,8 @@ class _LeafCache:
     def __init__(self, model: "list[KdTree]"):
         self.forest, self.first = _stack_forest(model)
         # every node centroid is a mean of its tree's points, which lie
-        # within the root's extents of the root centroid
-        self.mu_scale = max(float(np.linalg.norm(t.mus[0]) + np.linalg.norm(t.bboxes[0]))
-                            for t in model)
+        # within the root's box diagonal of the root centroid
+        self.mu_scale = max(float(np.linalg.norm(t.mus[0])) + t.root_diagonal for t in model)
         self.q_scale = 0.0
         self.wq_prev = None
 

@@ -9,15 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scanfiles import write_kitti_bin, write_ply
 from worldsim import big_room_panels, scan_cloud
 
 from madlo.cli import MAX_LENGTHS, build_run_config, main, parse_lengths
-from madlo.dataset_io import (
-    Trajectory,
-    write_kitti_bin,
-    write_ply,
-    write_trajectory_kitti,
-)
+from madlo.dataset_io import Trajectory, write_trajectory_kitti
 from madlo.geometry import Isometry3, exp_se3
 from madlo.motion import StampedPose
 from madlo.pipeline import FRAME_LOG_HEADER

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from scanfiles import write_kitti_bin, write_ply
 
 from madlo.dataset_io import (
     RunConfig,
@@ -18,8 +19,6 @@ from madlo.dataset_io import (
     read_ply,
     read_trajectory_kitti,
     synthesize_rel_times,
-    write_kitti_bin,
-    write_ply,
     write_trajectory_kitti,
 )
 from madlo.geometry import Isometry3, PointCloud, exp_se3

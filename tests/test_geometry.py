@@ -12,7 +12,7 @@ import pytest
 from madlo.geometry import (
     Isometry3,
     PointCloud,
-    eig_sym3_batch,
+    eig_sym3,
     exp_se3,
     exp_so3,
     log_so3,
@@ -186,43 +186,119 @@ def test_long_composition_chain_stays_orthonormal():
 # ------------------------------------------------------------------ eigen
 
 
+def pack(ms: np.ndarray) -> np.ndarray:
+    """(F, 3, 3) symmetric matrices as the (6, F) rows xx, xy, xz, yy, yz, zz."""
+    return np.stack([ms[:, 0, 0], ms[:, 0, 1], ms[:, 0, 2], ms[:, 1, 1], ms[:, 1, 2], ms[:, 2, 2]])
+
+
+def random_rotations(rng, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[:, :, 0] *= np.linalg.det(q)[:, None]
+    return q
+
+
+def check_eig_sym3(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig_sym3 on (F, 3, 3) matrices against LAPACK's eigh; returns the
+    eigenvalues (F, 3) and the eigenvectors as matrix columns (F, 3, 3)."""
+    vals, vecs = eig_sym3(pack(ms))
+    vals, vecs = vals.T, vecs.transpose(2, 1, 0)
+    assert np.isfinite(vals).all() and np.isfinite(vecs).all()
+    ref_vals, ref_vecs = np.linalg.eigh(ms)
+    lmax = np.abs(ref_vals).max(axis=1)
+    assert (vals[:, 0] <= vals[:, 1]).all() and (vals[:, 1] <= vals[:, 2]).all()
+    assert (np.abs(vals - ref_vals).max(axis=1) <= 1e-12 * lmax).all()
+    assert np.abs(vecs.transpose(0, 2, 1) @ vecs - np.eye(3)).max() < 1e-12
+    residual = ms @ vecs - vecs * vals[:, None, :]
+    assert (np.abs(residual).max(axis=(1, 2)) <= 1e-8 * lmax).all()
+    # sign rule: the first largest-magnitude component of each vector is positive
+    k = np.argmax(np.abs(vecs), axis=1)
+    assert (np.take_along_axis(vecs, k[:, None, :], axis=1) > 0.0).all()
+    # an end vector is defined where its eigenvalue stands apart
+    gaps = np.diff(ref_vals, axis=1)
+    cos = np.abs(np.einsum("fkj,fkj->fj", vecs, ref_vecs))
+    for j, gap in ((0, gaps[:, 0]), (2, gaps[:, 1])):
+        apart = gap > 1e-4 * lmax
+        assert (1.0 - cos[apart, j] <= 1e-12).all()
+    return vals, vecs
+
+
 def test_eig_sym3_diagonal_case():
-    vals, vecs = eig_sym3_batch(np.diag([3.0, 1.0, 2.0])[None])
-    assert np.abs(vals[0] - np.array([1.0, 2.0, 3.0])).max() < 1e-12
-    # smallest eigenvalue belongs to the y axis; sign normalization makes it +e_y
-    assert np.abs(vecs[0, :, 0] - np.array([0.0, 1.0, 0.0])).max() < 1e-12
+    vals, vecs = check_eig_sym3(np.diag([3.0, 1.0, 2.0])[None])
+    assert np.abs(vals[0] - [1.0, 2.0, 3.0]).max() < 1e-12
+    # the smallest eigenvalue belongs to the y axis; sign normalization makes it +e_y
+    assert np.abs(vecs[0] - [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).max() < 1e-12
 
 
 def test_eig_sym3_reconstruction_and_order():
     rng = np.random.default_rng(19)
-    ms = []
-    for _ in range(200):
-        a = rng.normal(size=(3, 3))
-        ms.append(a @ a.T if rng.random() < 0.7 else 0.5 * (a + a.T))  # PSD and indefinite
-    all_vals, all_vecs = eig_sym3_batch(np.array(ms))
-    for m, vals, vecs in zip(ms, all_vals, all_vecs):
-        assert vals[0] <= vals[1] <= vals[2]
-        assert np.abs(vecs.T @ vecs - np.eye(3)).max() < 1e-10
-        scale = max(1.0, np.abs(vals).max())
-        for j in range(3):
-            assert np.abs(m @ vecs[:, j] - vals[j] * vecs[:, j]).max() < 1e-8 * scale
-            k = int(np.argmax(np.abs(vecs[:, j])))
-            assert vecs[k, j] > 0.0
+    a = rng.normal(size=(200, 3, 3))
+    psd = rng.random(200) < 0.7
+    ms = np.where(psd[:, None, None], a @ a.transpose(0, 2, 1), 0.5 * (a + a.transpose(0, 2, 1)))
+    vals, vecs = check_eig_sym3(ms)
+    # V diag(vals) V^T gives the matrix back
+    assert np.abs((vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1) - ms).max() < 1e-12 * np.abs(ms).max()
 
 
 def test_eig_sym3_batch_matches_scalar():
+    # each matrix of a batch against LAPACK on that matrix alone
     rng = np.random.default_rng(20)
     a = rng.normal(size=(40, 3, 3))
     ms = a @ a.transpose(0, 2, 1)
-    vals, vecs = eig_sym3_batch(ms)
+    vals, vecs = check_eig_sym3(ms)
     for i in range(40):
         v1, w1 = np.linalg.eigh(ms[i])
-        for j in range(3):  # one matrix, one column at a time
-            k = int(np.argmax(np.abs(w1[:, j])))
-            if w1[k, j] < 0.0:
-                w1[:, j] = -w1[:, j]
+        w1 *= np.where(w1[np.argmax(np.abs(w1), axis=0), [0, 1, 2]] < 0.0, -1.0, 1.0)
         assert np.abs(vals[i] - v1).max() < 1e-12
         assert np.abs(vecs[i] - w1).max() < 1e-12
+
+
+def test_eig_sym3_zero_and_multiples_of_identity_get_identity_basis():
+    ms = np.array([np.zeros((3, 3)), 2.5 * np.eye(3), 1e-30 * np.eye(3)])
+    vals, vecs = check_eig_sym3(ms)
+    assert np.array_equal(vecs, np.broadcast_to(np.eye(3), (3, 3, 3)))
+    assert np.array_equal(vals, [[0.0] * 3, [2.5] * 3, [1e-30] * 3])
+    # what LAPACK gives for these, so one-point nodes keep their basis
+    assert np.array_equal(np.linalg.eigh(np.zeros((3, 3)))[1], np.eye(3))
+
+
+def test_eig_sym3_rank_deficient_and_repeated():
+    rng = np.random.default_rng(22)
+    r = random_rotations(rng, 400)
+    scale = rng.uniform(1e-4, 1e2, size=(400, 1, 1))
+    for diag in ([0.0, 0.0, 1.0], [0.0, 1.0, 3.0], [1.0, 1.0, 2.0], [1.0, 2.0, 2.0]):
+        ms = scale * (r * diag) @ r.transpose(0, 2, 1)
+        vals, vecs = check_eig_sym3(ms)
+        assert np.abs(vals - scale[:, :, 0] * diag).max(axis=1).max() <= 1e-12 * scale.max()
+    # the rank-1 and the repeated ones: the single end lies along its axis
+    for diag, j in (([0.0, 0.0, 1.0], 2), ([1.0, 1.0, 2.0], 2), ([1.0, 2.0, 2.0], 0)):
+        vecs = check_eig_sym3((r * diag) @ r.transpose(0, 2, 1))[1]
+        assert (1.0 - np.abs(np.einsum("fk,fk->f", vecs[:, :, j], r[:, :, j])) <= 1e-12).all()
+
+
+def test_eig_sym3_covariances_far_from_origin():
+    # point sets 100 m out, as a scan's nodes are: volumes, planes, lines, pairs
+    rng = np.random.default_rng(23)
+    ms = []
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        spread = rng.uniform(1e-3, 1.0, size=3) * (rng.random(3) < 0.8)
+        pts = (rng.normal(size=(n, 3)) * spread) @ random_rotations(rng, 1)[0].T
+        pts += rng.uniform(-100.0, 100.0, size=3) + 100.0
+        d = pts - pts.mean(axis=0)
+        ms.append(d.T @ d / n)
+    check_eig_sym3(np.array(ms))
+
+
+def test_eig_sym3_scales_by_powers_of_two_exactly():
+    # no overflow or underflow at the ends of the float range
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=(50, 3, 3))
+    ms = pack(a @ a.transpose(0, 2, 1))
+    vals, vecs = eig_sym3(ms)
+    for e in (-900, -300, 300, 900):
+        v, w = eig_sym3(np.ldexp(ms, e))
+        assert np.array_equal(w, vecs) and np.array_equal(v, np.ldexp(vals, e))
 
 
 def test_skew_matches_cross_product():

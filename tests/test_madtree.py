@@ -81,6 +81,24 @@ def node_sums(tree: KdTree, pts: np.ndarray, weights=None) -> np.ndarray:
     return sums
 
 
+def node_points(tree: KdTree, pts: np.ndarray) -> list:
+    """The build points under each node, gathered like ``node_sums``: a leaf
+    holds the points that descend to it, an interior node its children's."""
+    members = [[] for _ in range(tree.num_nodes)]
+    for k, leaf in enumerate(tree.descend(pts)):
+        members[leaf].append(k)
+    for i in np.flatnonzero(tree.left >= 0)[::-1]:
+        members[i] = members[tree.left[i]] + members[tree.left[i] + 1]
+    return [pts[np.array(m, dtype=np.int64)] for m in members]
+
+
+def extents(p: np.ndarray, normal: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Sorted extents of the points ``p`` along an orthonormal basis that
+    holds ``normal`` and ``direction``: the node's oriented bounding box."""
+    basis = np.array([normal, np.cross(direction, normal), direction])
+    return np.sort(np.ptp(p @ basis.T, axis=0))
+
+
 def random_scene(rng: np.random.Generator, n: int) -> np.ndarray:
     """Mixture of planar patches and volumetric blobs, meters-scale."""
     kinds = rng.integers(0, 3, size=n)
@@ -168,7 +186,10 @@ def test_two_distant_points_leaf_despite_extent():
 def test_tree_root_single_point():
     tree = build_tree(np.array([[1.0, 2.0, 3.0]]))
     assert np.array_equal(tree.mus[0], [1.0, 2.0, 3.0])
-    assert np.array_equal(tree.bboxes[0], np.zeros(3))
+    assert tree.root_diagonal == 0.0
+    # a zero covariance gets the identity basis
+    assert np.array_equal(tree.normals[0], [1.0, 0.0, 0.0])
+    assert np.array_equal(tree.directions[0], [0.0, 0.0, 1.0])
 
 
 def test_tree_root_rejects_empty():
@@ -182,7 +203,8 @@ def test_tree_root_two_point_hand_case():
     tree = build_tree(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     assert np.array_equal(tree.mus[0], [1.0, 0.0, 0.0])
     assert np.array_equal(tree.directions[0], [1.0, 0.0, 0.0])
-    assert np.array_equal(tree.bboxes[0], [0.0, 0.0, 2.0])
+    # the box is 2 m long along x and flat across it
+    assert tree.root_diagonal == 2.0
 
 
 def test_tree_root_matches_two_pass_oracle():
@@ -225,7 +247,7 @@ def test_flat_slab_propagates_root_normal_everywhere():
     )
     tree = build_tree(pts)
     assert tree.left[0] >= 0
-    assert tree.bboxes[0, 0] < tree.params.b_min
+    assert extents(pts, tree.normals[0], tree.directions[0])[0] < tree.params.b_min
     root_n = tree.normals[0]
     for leaf_id in tree.leaf_ids:
         assert np.array_equal(tree.normals[leaf_id], root_n)
@@ -335,11 +357,15 @@ def test_transform_identity_is_bitwise_noop():
 
 def test_transform_round_trip():
     rng = np.random.default_rng(40)
-    tree = build_tree(random_scene(rng, 300))
-    mus, bboxes = tree.mus.copy(), tree.bboxes.copy()
+    pts = random_scene(rng, 300)
+    tree = build_tree(pts)
+    mus = tree.mus.copy()
     x = exp_se3(np.array([1.0, -2.0, 0.5, 0.3, -0.2, 0.9]))
     transform_tree(tree, x)
-    assert np.array_equal(tree.bboxes, bboxes)  # extents are rigid invariants
+    # the root's box diagonal is a rigid invariant: the moved tree's basis
+    # measures the moved points the same
+    moved = extents(x.apply(pts), tree.normals[0], tree.directions[0])
+    assert abs(np.linalg.norm(moved) - tree.root_diagonal) < 1e-9
     transform_tree(tree, x.inverse())
     assert np.abs(tree.mus - mus).max() < 1e-9
     assert np.abs(np.linalg.norm(tree.normals[tree.leaf_ids], axis=1) - 1.0).max() < 1e-9
@@ -403,6 +429,23 @@ def test_leaves_partition_the_cloud():
     assert np.abs(sums / counts[:, None] - tree.mus).max() < 1e-9
 
 
+def test_wide_levels_partition_the_cloud():
+    # a level with more than 32767 interior nodes has partition keys too wide
+    # for 16 bits; its points must still reach their own nodes
+    rng = np.random.default_rng(54)
+    pts = rng.uniform(0.0, 100.0, size=(1 << 18, 3))
+    tree = build_tree(pts)
+    interior = tree.left >= 0
+    node_depth = np.zeros(tree.num_nodes, dtype=np.int64)
+    for i in np.flatnonzero(interior):
+        node_depth[tree.left[i]:tree.left[i] + 2] = node_depth[i] + 1
+    assert np.bincount(node_depth[interior]).max() > 32767
+    counts = node_sums(tree, pts)
+    assert np.all(counts[tree.leaf_ids] >= 1)
+    sums = np.stack([node_sums(tree, pts, pts[:, k]) for k in range(3)], axis=1)
+    assert np.abs(sums / counts[:, None] - tree.mus).max() < 1e-9
+
+
 def test_tree_stores_nothing_per_point():
     # leaves keep statistics only: no array grows with the input cloud
     rng = np.random.default_rng(51)
@@ -439,15 +482,74 @@ def test_build_is_deterministic():
     assert np.array_equal(t1.leaf_ids, t2.leaf_ids)
 
 
-def test_bbox_extents_sorted_everywhere():
+def test_interior_nodes_had_room_to_split():
+    # extents recomputed from the build points under each node: an interior
+    # node reached b_max along its basis and held at least 3 points, and the
+    # root's box diagonal is the one the tree keeps
     rng = np.random.default_rng(44)
     pts = random_scene(rng, 600)
     tree = build_tree(pts)
-    b = tree.bboxes
-    assert np.all(b[:, 0] <= b[:, 1]) and np.all(b[:, 1] <= b[:, 2])
-    # interior nodes must all have had room to split
-    interior = tree.left >= 0
-    assert np.all(node_sums(tree, pts)[interior] >= 3)
+    members = node_points(tree, pts)
+    interior = np.flatnonzero(tree.left >= 0)
+    assert len(interior) > 10
+    for i in interior:
+        ext = extents(members[i], tree.normals[i], tree.directions[i])
+        assert ext[2] >= tree.params.b_max
+        assert len(members[i]) >= 3
+    root = extents(pts, tree.normals[0], tree.directions[0])
+    assert abs(np.linalg.norm(root) - tree.root_diagonal) < 1e-12 * tree.root_diagonal
+
+
+def test_ill_defined_bases_are_finite_unit_and_deterministic():
+    # exactly collinear runs (dyadic coordinates), coincident points and a
+    # regular tetrahedron, alone and inside a plane: every eigenbasis the
+    # build stores is finite and unit, and two builds agree bit for bit
+    rng = np.random.default_rng(52)
+    line_dir = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
+    line = np.arange(40)[:, None] * (0.0625 * np.array([1.0, 2.0, -1.0])) + [0.5, -1.0, 2.0]
+    coincident = np.full((6, 3), 0.1)
+    tetra = 0.5 * np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    plane = np.column_stack([rng.uniform(-3, 3, 400), rng.uniform(-3, 3, 400), np.zeros(400)])
+    for pts in (line, line[:3], coincident, tetra, np.vstack([plane, line + [0.0, 0.0, 5.0]])):
+        tree, again = build_tree(pts), build_tree(pts)
+        for name in ("mus", "normals", "directions", "valid", "left", "leaf_ids"):
+            assert getattr(tree, name).tobytes() == getattr(again, name).tobytes(), name
+        for vectors in (tree.normals, tree.directions):
+            assert np.isfinite(vectors).all()
+            assert np.abs(np.linalg.norm(vectors, axis=1) - 1.0).max() < 1e-12
+    # a regular tetrahedron's covariance is a multiple of the identity
+    tree = build_tree(tetra)
+    assert np.array_equal(tree.normals[0], [1.0, 0.0, 0.0])
+    assert np.array_equal(tree.directions[0], [0.0, 0.0, 1.0])
+    # coincident points: one valid leaf, nothing to split
+    assert build_tree(coincident).num_nodes == 1
+
+
+def test_line_nodes_split_along_the_line_and_donate_a_perpendicular_normal():
+    # a node whose points lie on a line has its split direction along the
+    # line; its smallest extent is 0 < b_min, so it counts as flat and
+    # pushes its normal, one unit vector perpendicular to the line, down to
+    # every leaf below it (ROADMAP item 1: the flatness rule)
+    line_dir = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
+    line = np.arange(40)[:, None] * (0.0625 * np.array([1.0, 2.0, -1.0])) + [0.5, -1.0, 2.0]
+    tree = build_tree(line)
+    interior = np.flatnonzero(tree.left >= 0)
+    assert len(interior) > 3
+    assert (1.0 - np.abs(tree.directions[interior] @ line_dir) < 1e-12).all()
+    assert np.abs(tree.normals @ line_dir).max() < 1e-12
+    leaves = tree.leaf_ids
+    assert tree.valid[leaves].all()
+    assert (tree.normals[leaves] == tree.normals[0]).all()
+    # inside a wider cloud, the nodes that hold only line points do the same
+    rng = np.random.default_rng(53)
+    plane = np.column_stack([rng.uniform(-3, 3, 400), rng.uniform(-3, 3, 400), np.zeros(400)])
+    pts = np.vstack([plane, line + [0.0, 0.0, 5.0]])
+    tree = build_tree(pts)
+    members = node_points(tree, pts)
+    on_line = [i for i in np.flatnonzero(tree.left >= 0)
+               if (np.abs(np.cross(members[i] - line[0] - [0.0, 0.0, 5.0], line_dir)) < 1e-9).all()]
+    assert len(on_line) > 3
+    assert (1.0 - np.abs(tree.directions[on_line] @ line_dir) < 1e-12).all()
 
 
 def test_noisy_plane_normal_quality():
