@@ -107,15 +107,9 @@ def build_run_config(args) -> RunConfig:
     return config
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _write_atomic(path: Path, write) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_trajectory_atomic(traj, path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_trajectory_kitti(traj, tmp)
+    write(tmp)
     os.replace(tmp, path)
 
 
@@ -153,7 +147,7 @@ def _run_odometry(args) -> int:
             os.replace(log_tmp, log_path)
 
     traj_path = out_dir / "trajectory.txt"
-    _write_trajectory_atomic(trajectory, traj_path)
+    _write_atomic(traj_path, lambda tmp: write_trajectory_kitti(trajectory, tmp))
     print(f"wrote {traj_path} ({len(trajectory)} poses) and {log_path}")
     return code
 
@@ -168,9 +162,9 @@ def _run_evaluate(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(out_dir / "rpe.csv", text)
+        _write_atomic(out_dir / "rpe.csv", lambda tmp: tmp.write_text(text))
         curve, _ = cumulative_curve([report.overall])
-        _atomic_write_text(out_dir / "curve.csv", curve_csv(curve))
+        _write_atomic(out_dir / "curve.csv", lambda tmp: tmp.write_text(curve_csv(curve)))
     return 0
 
 

@@ -240,8 +240,14 @@ def read_trajectory_kitti(path) -> Trajectory:
         tokens = line.split()
         if len(tokens) != 12:
             raise ValueError(f"{path}:{lineno + 1}: expected 12 values, got {len(tokens)}")
-        m = np.array(tokens, dtype=np.float64).reshape(3, 4)
-        poses.append(StampedPose(Isometry3(m[:, :3], m[:, 3]), float(len(poses))))
+        try:
+            m = np.array(tokens, dtype=np.float64).reshape(3, 4)
+            if not np.isfinite(m).all():
+                raise ValueError("non-finite value")
+            pose = Isometry3(m[:, :3], m[:, 3])
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno + 1}: {err}") from None
+        poses.append(StampedPose(pose, float(len(poses))))
     return Trajectory(poses)
 
 
@@ -281,9 +287,12 @@ def coerce_config_value(key: str, raw: str):
         return raw == "on"
     if key == "time_budget_ms" and raw.lower() in ("none", ""):
         return None
-    if key in ("n", "threads", "max_iterations"):
-        return int(raw)
-    return float(raw)
+    try:
+        if key in ("n", "threads", "max_iterations"):
+            return int(raw)
+        return float(raw)
+    except ValueError as err:
+        raise ValueError(f"{key}: {err}") from None
 
 
 def parse_config(path) -> RunConfig:

@@ -48,6 +48,9 @@ def exp_so3(theta: np.ndarray) -> np.ndarray:
 def _check_rotation(r: np.ndarray) -> None:
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
+    # every comparison with NaN is False, and det of a NaN matrix warns
+    if not np.isfinite(r).all():
+        raise ValueError("rotation has a non-finite entry")
     err = np.abs(r.T @ r - np.eye(3)).max()
     if err > ORTHONORMAL_TOL or np.linalg.det(r) < 0.0:
         raise ValueError(f"matrix is not a rotation (orthonormality error {err:.2e})")

@@ -6,8 +6,8 @@ its point subset. The extents of the subset along that basis (its oriented
 bounding box) decide the splits and are then dropped; only the root's
 diagonal is kept. Splitting recurses until the largest extent drops below
 ``b_max``; very flat ancestors (smallest extent below ``b_min``) push their
-normal down to all descendant leaves, which rescues leaves too sparse to
-estimate one themselves.
+normal down to every descendant, which rescues leaves too sparse to estimate
+one themselves. Leaves are the nodes without children, in node order.
 
 The build is level-synchronous: each pass computes statistics for every node
 of one depth with batched array ops over one contiguous block of those nodes'
@@ -51,8 +51,10 @@ class KdTree:
 
     Every child is numbered after its parent, and a right child right after
     its left sibling, so ``left + 1`` is the right child; a leaf's ``left``
-    is -1. ``mus`` and ``directions`` are (N, 3) and column-major, so
-    ``descend`` reads each axis as one contiguous column.
+    is -1, and ``leaf_ids`` lists the leaves in node order. ``mus`` and
+    ``directions`` are (N, 3) and column-major, so ``descend`` reads each
+    axis as one contiguous column. A node's normal is the one its leaves
+    use: a flat ancestor's if it has one, else its own.
 
     Nodes keep only statistics, never the raw points or their order: a
     build point descends to the leaf that owns it. ``root_diagonal`` is the
@@ -62,7 +64,7 @@ class KdTree:
 
     __slots__ = (
         "params", "mus", "normals", "directions", "root_diagonal",
-        "valid", "left", "leaf_ids", "depth",
+        "valid", "left", "depth",
     )
 
     def __init__(self):
@@ -74,9 +76,13 @@ class KdTree:
 
     @property
     def num_leaves(self) -> int:
-        return self.leaf_ids.shape[0]
+        return int(np.count_nonzero(self.left < 0))
 
-    # leaf statistics as flat arrays, in left-to-right leaf order
+    @property
+    def leaf_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.left < 0)
+
+    # leaf statistics as flat arrays, in leaf_ids order
     def leaf_mus(self) -> np.ndarray:
         return self.mus[self.leaf_ids]
 
@@ -142,25 +148,22 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     # one contiguous row per axis so every per-point pass is a flat loop; that
     # block, its centred copy and three rows of work (products d_i * d_j, then
     # offsets y) live at the front of three flat buffers made once per build,
-    # and the next level's block is gathered over the centred copy; lo is a
-    # node's offset in the final left-to-right order of the points
+    # and the next level's block is gathered over the centred copy
     points, centred, work = np.empty((3, 3 * n))
     row = np.empty(n)
     m = n
     p = points[:3 * m].reshape(3, m)
     p[:] = pts.T
-    lo = np.array([0], dtype=np.int64)
     lengths = np.array([n], dtype=np.int64)
     inherits = np.array([False])
     inh_n = np.zeros((1, 3))
 
-    mus_l, normals_l, dirs_l = [], [], []
-    lo_l, valid_l, left_l = [], [], []
+    mus_l, normals_l, dirs_l, valid_l, left_l = [], [], [], [], []
     allocated = 1
     depth = 0
 
     while True:
-        f = lo.size
+        f = lengths.size
         starts = np.cumsum(lengths) - lengths
         owner = np.repeat(np.arange(f), lengths)
 
@@ -199,22 +202,18 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         is_leaf |= (nr == 0) | (nr == lengths)
         interior = ~is_leaf
 
-        normal_pca = vecs[0].T
-        normal = normal_pca.copy()
-        take = is_leaf & inherits
-        normal[take] = inh_n[take]
-        valid = interior | inherits | (lengths >= MIN_SPLIT_POINTS)
+        normal = np.where(inherits[:, None], inh_n, vecs[0].T)
+        # an interior node holds at least MIN_SPLIT_POINTS points, so is valid
+        valid = inherits | (lengths >= MIN_SPLIT_POINTS)
 
         n_int = int(interior.sum())
         left_ids = np.full(f, -1, dtype=np.int64)
-        if n_int:
-            left_ids[interior] = allocated + 2 * np.arange(n_int, dtype=np.int64)
-            allocated += 2 * n_int
+        left_ids[interior] = allocated + 2 * np.arange(n_int, dtype=np.int64)
+        allocated += 2 * n_int
 
         mus_l.append(mu)
         normals_l.append(normal)
         dirs_l.append(vecs[2].copy())
-        lo_l.append(lo)
         valid_l.append(valid)
         left_l.append(left_ids)
 
@@ -236,17 +235,14 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         m = m_next
 
         # next frontier: interleave (left, right) children per interior node
-        ilo, inr = lo[interior], nr[interior]
+        inr = nr[interior]
         inl = lengths[interior] - inr
-        lo = np.empty(2 * n_int, dtype=np.int64)
         lengths = np.empty(2 * n_int, dtype=np.int64)
-        lo[0::2], lengths[0::2] = ilo, inl
-        lo[1::2], lengths[1::2] = ilo + inl, inr
+        lengths[0::2], lengths[1::2] = inl, inr
 
         child_inherits = inherits[interior] | (ext[:, interior].min(axis=0) < params.b_min)
-        child_n = np.where(inherits[interior, None], inh_n[interior], normal_pca[interior])
         inherits = np.repeat(child_inherits, 2)
-        inh_n = np.repeat(child_n, 2, axis=0)
+        inh_n = np.repeat(normal[interior], 2, axis=0)
         depth += 1
 
     tree = KdTree()
@@ -259,10 +255,6 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     tree.valid = np.concatenate(valid_l)
     tree.left = np.concatenate(left_l)
     tree.depth = depth
-    # leaves in left-to-right order (by lo, where a leaf's points start once
-    # every split has ordered the cloud) fix the registration's summation order
-    leaf_ids = np.flatnonzero(tree.left < 0)
-    tree.leaf_ids = leaf_ids[np.argsort(np.concatenate(lo_l)[leaf_ids], kind="stable")]
     return tree
 
 

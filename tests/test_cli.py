@@ -180,6 +180,24 @@ def test_evaluate_mismatched_lengths_exits_1(tmp_path, capsys):
     assert "usage" in err
 
 
+def test_evaluate_non_finite_pose_exits_1(tmp_path, capsys):
+    est, gt = tmp_path / "est.txt", tmp_path / "gt.txt"
+    write_walk_trajectory(gt)
+    # column 0 is in the rotation, column 3 in the translation
+    for column in (0, 3):
+        write_walk_trajectory(est)
+        lines = est.read_text().splitlines()
+        tokens = lines[1].split()
+        tokens[column] = "nan"
+        lines[1] = " ".join(tokens)
+        est.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--est", str(est), "--gt", str(gt), "--lengths", "10:40:10"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{est}:2: " in captured.err and "non-finite" in captured.err
+        assert captured.out == ""
+
+
 def test_evaluate_missing_file_exits_2(tmp_path):
     write_walk_trajectory(tmp_path / "a.txt")
     code = main(["evaluate", "--est", str(tmp_path / "a.txt"),
@@ -239,6 +257,11 @@ def test_build_config_rejects_bad_set():
                               no_deskew=False)
     with pytest.raises(ValueError):
         build_run_config(args)
+    # a bad value names its key
+    for item, key in (("n=2.5", "n"), ("p_th=", "p_th")):
+        args.set = [item]
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            build_run_config(args)
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -331,6 +331,20 @@ def test_kitti_trajectory_rejects_short_line(tmp_path):
         read_trajectory_kitti(tmp_path / "t.txt")
 
 
+@pytest.mark.parametrize("bad_line, reason", [
+    ("x 0 0 0 0 1 0 0 0 0 1 0", "could not convert"),
+    ("nan 0 0 0 0 1 0 0 0 0 1 0", "non-finite"),
+    ("1 0 0 0 0 1 0 0 0 0 1 inf", "non-finite"),
+    ("1 0 0 0 0 1 0 0 0 0 -1 0", "not a rotation"),
+    ("2 0 0 0 0 1 0 0 0 0 1 0", "not a rotation"),
+])
+def test_kitti_trajectory_bad_value_names_file_and_line(tmp_path, bad_line, reason):
+    path = tmp_path / "t.txt"
+    path.write_text(f"1 0 0 0 0 1 0 0 0 0 1 0\n\n{bad_line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{reason}"):
+        read_trajectory_kitti(path)
+
+
 def test_trajectory_rejects_decreasing_stamps():
     with pytest.raises(ValueError):
         Trajectory([StampedPose(Isometry3.identity(), 1.0),
@@ -374,9 +388,11 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_config_rejects_bad_values(tmp_path):
-    for line in ("deskew = yes", "b_max = big", "threads = 2.5"):
-        (tmp_path / "run.cfg").write_text(line + "\n")
-        with pytest.raises(ValueError):
+    # the message names the file, the line and the key
+    for line in ("deskew = yes", "b_max = big", "threads = 2.5", "p_th ="):
+        key = line.split("=")[0].strip()
+        (tmp_path / "run.cfg").write_text("n = 4\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"run.cfg:2: .*{key}"):
             parse_config(tmp_path / "run.cfg")
 
 
@@ -386,6 +402,9 @@ def test_config_value_coercion_direct():
     assert coerce_config_value("threads", "4") == 4
     with pytest.raises(ValueError):
         coerce_config_value("velocity", "1")
+    for key, raw in (("n", "2.5"), ("p_th", ""), ("max_iterations", "many")):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            coerce_config_value(key, raw)
 
 
 # ------------------------------------------------------------ scan source

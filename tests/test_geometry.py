@@ -173,6 +173,12 @@ def test_isometry_inverse_round_trip():
 def test_isometry_rejects_non_rotation():
     with pytest.raises(ValueError):
         Isometry3(np.eye(3) * 1.001)
+    # every comparison with NaN is False, so a NaN entry needs its own check
+    for bad in (np.nan, np.inf):
+        r = np.eye(3)
+        r[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Isometry3(r)
 
 
 def test_long_composition_chain_stays_orthonormal():

@@ -120,9 +120,12 @@ def test_build_matches_recursive_reference():
         tree = build_tree(pts, params)
         ref = ref_leaves(pts, params.b_max, params.b_min)
         assert tree.num_leaves == len(ref)
-        # a build point descends to the leaf that owns it
+        # a build point descends to the leaf that owns it; each reference leaf
+        # is matched to the tree leaf that owns its first point
         owner = tree.descend(pts)
-        for leaf_id, (sel, normal, valid) in zip(tree.leaf_ids, ref):
+        matched = [int(owner[sel[0]]) for sel, _, _ in ref]
+        assert np.array_equal(np.sort(matched), np.sort(tree.leaf_ids))
+        for leaf_id, (sel, normal, valid) in zip(matched, ref):
             assert np.array_equal(np.flatnonzero(owner == leaf_id), np.sort(sel))
             assert bool(tree.valid[leaf_id]) == valid
             if valid:
@@ -248,10 +251,9 @@ def test_flat_slab_propagates_root_normal_everywhere():
     tree = build_tree(pts)
     assert tree.left[0] >= 0
     assert extents(pts, tree.normals[0], tree.directions[0])[0] < tree.params.b_min
-    root_n = tree.normals[0]
-    for leaf_id in tree.leaf_ids:
-        assert np.array_equal(tree.normals[leaf_id], root_n)
-        assert tree.valid[leaf_id]
+    # every node, interior or leaf, stores the normal its leaves use
+    assert (tree.normals == tree.normals[0]).all()
+    assert tree.valid.all()
 
 
 # ---------------------------------------------------------------- search

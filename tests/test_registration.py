@@ -196,6 +196,9 @@ def test_descend_from_start_nodes_walks_each_stacked_tree():
         assert forest.normals[nodes].tobytes() == tree.normals.tobytes()
         assert np.array_equal(forest.valid[nodes], tree.valid)
     assert len(forest.normals) == len(forest.valid) == len(forest.left)
+    # its leaves are the trees' leaves, tree after tree
+    assert np.array_equal(forest.leaf_ids,
+                          np.concatenate([t.leaf_ids + f for t, f in zip(model, first)]))
 
 
 def assert_cache_is_full_descent(cache, model, wq):
