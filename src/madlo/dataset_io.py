@@ -28,13 +28,11 @@ FLOAT_FORMAT = "%.17g"
 # ----------------------------------------------------------------- scans
 
 
-def read_kitti_bin(path, min_range=0.0, max_range=np.inf) -> PointCloud:
-    """Read a KITTI velodyne scan, dropping non-finite points and points
-    outside the range band.
+def read_kitti_bin(path) -> PointCloud:
+    """Read a KITTI velodyne scan, dropping non-finite points.
 
     The file must be a whole number of 16-byte records; intensity is
-    discarded. Ranges are Euclidean distances from the sensor origin and
-    the [min_range, max_range] band is inclusive on both ends.
+    discarded.
     """
     size = Path(path).stat().st_size
     if size % KITTI_POINT_BYTES != 0:
@@ -43,7 +41,7 @@ def read_kitti_bin(path, min_range=0.0, max_range=np.inf) -> PointCloud:
         )
     raw = np.fromfile(path, dtype="<f4")
     points, _ = _drop_non_finite(path, raw.reshape(-1, 4)[:, :3].astype(np.float64))
-    return filter_range(PointCloud(points), min_range, max_range)
+    return PointCloud(points)
 
 
 def _drop_non_finite(path, points: np.ndarray, times: np.ndarray | None = None):
@@ -58,7 +56,8 @@ def _drop_non_finite(path, points: np.ndarray, times: np.ndarray | None = None):
 
 
 def filter_range(cloud: PointCloud, min_range, max_range) -> PointCloud:
-    """Keep points whose distance from the origin lies in the closed band."""
+    """Keep points whose distance from the origin (the sensor) lies in the
+    closed band [min_range, max_range]."""
     if not 0.0 <= min_range < max_range:
         raise ValueError(f"invalid range band [{min_range}, {max_range}]")
     r = np.linalg.norm(cloud.points, axis=1)
@@ -355,8 +354,8 @@ class ScanSource:
             raise ValueError(f"unknown scan source kind {self.kind!r}")
         if not 0.0 <= self.min_range < self.max_range:
             raise ValueError(f"invalid range band [{self.min_range}, {self.max_range}]")
-        if not self.scan_period > 0:  # NaN fails too
-            raise ValueError("scan_period must be positive")
+        if not 0.0 < self.scan_period < np.inf:  # NaN fails too
+            raise ValueError("scan_period must be positive and finite")
         self.path = Path(self.path)
         if not self.path.is_dir():
             raise FileNotFoundError(f"scan directory {self.path} does not exist")
@@ -382,7 +381,7 @@ class ScanSource:
         return [k * self.scan_period for k in range(len(self.files))]
 
     def read_scan(self, index: int) -> PointCloud:
+        """Scan ``index`` with its points outside the range band dropped."""
         path = self.files[index]
-        if self.kind == "kitti_bin_dir":
-            return read_kitti_bin(path, self.min_range, self.max_range)
-        return filter_range(read_ply(path), self.min_range, self.max_range)
+        cloud = read_kitti_bin(path) if self.kind == "kitti_bin_dir" else read_ply(path)
+        return filter_range(cloud, self.min_range, self.max_range)

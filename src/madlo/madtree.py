@@ -3,11 +3,11 @@
 Every node carries the centroid and the covariance eigenbasis (smallest-
 spread axis = surface normal, largest-spread axis = splitting direction) of
 its point subset. The extents of the subset along that basis (its oriented
-bounding box) decide the splits and are then dropped; only the root's
-diagonal is kept. Splitting recurses until the largest extent drops below
-``b_max``; very flat ancestors (smallest extent below ``b_min``) push their
-normal down to every descendant, which rescues leaves too sparse to estimate
-one themselves. Leaves are the nodes without children, in node order.
+bounding box) decide the splits and are then dropped. Splitting recurses
+until the largest extent drops below ``b_max``; very flat ancestors
+(smallest extent below ``b_min``) push their normal down to every
+descendant, which rescues leaves too sparse to estimate one themselves.
+Leaves are the nodes without children, in node order.
 
 The build is level-synchronous: each pass computes statistics for every node
 of one depth with batched array ops over one contiguous block of those nodes'
@@ -40,8 +40,8 @@ class TreeParams:
     b_min: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.b_min and 0.0 < self.b_max):
-            raise ValueError("b_min and b_max must be positive")
+        if not (0.0 < self.b_min < np.inf and 0.0 < self.b_max < np.inf):  # NaN fails too
+            raise ValueError("b_min and b_max must be positive and finite")
         if self.b_min >= self.b_max:
             raise ValueError(f"b_min ({self.b_min}) must be below b_max ({self.b_max})")
 
@@ -57,14 +57,11 @@ class KdTree:
     use: a flat ancestor's if it has one, else its own.
 
     Nodes keep only statistics, never the raw points or their order: a
-    build point descends to the leaf that owns it. ``root_diagonal`` is the
-    length of the diagonal of the root's oriented bounding box: every build
-    point, and so every node centroid, lies within it of the root centroid.
+    build point descends to the leaf that owns it.
     """
 
     __slots__ = (
-        "params", "mus", "normals", "directions", "root_diagonal",
-        "valid", "left", "depth",
+        "params", "mus", "normals", "directions", "valid", "left", "depth",
     )
 
     def __init__(self):
@@ -191,8 +188,6 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
             y[j] += np.multiply(d[1], spread(vecs[j, 1]), out=row[:m])
             y[j] += np.multiply(d[2], spread(vecs[j, 2]), out=row[:m])
         ext = np.maximum.reduceat(y, starts, axis=1) - np.minimum.reduceat(y, starts, axis=1)
-        if depth == 0:
-            root_diagonal = float(np.linalg.norm(ext[:, 0]))
 
         # y[2] is direction . (p - mu), the split predicate
         go_right = y[2] > 0.0
@@ -251,7 +246,6 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     tree.mus = np.concatenate(mus_l, axis=1).T
     tree.normals = np.concatenate(normals_l)
     tree.directions = np.concatenate(dirs_l, axis=1).T
-    tree.root_diagonal = root_diagonal
     tree.valid = np.concatenate(valid_l)
     tree.left = np.concatenate(left_l)
     tree.depth = depth
@@ -259,8 +253,7 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
 
 
 def transform_tree(tree: KdTree, x: Isometry3) -> None:
-    """Rigidly move every node in place; ``root_diagonal`` is invariant, no
-    rebuild."""
+    """Rigidly move every node in place, no rebuild."""
     rt = x.rotation.T
     # empty_like keeps the column-major layout that descend reads
     mus = np.matmul(tree.mus, rt, out=np.empty_like(tree.mus))

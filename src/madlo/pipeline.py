@@ -2,7 +2,7 @@
 
 Each frame runs deskew -> tree build -> constant-velocity prediction ->
 scan-to-forest ICP -> tree transform into the world frame -> candidate push
--> velocity re-estimation -> conditional keyframe promotion. A degenerate
+-> conditional keyframe promotion -> velocity re-estimation. A degenerate
 registration never aborts the run: the predicted pose is adopted, the frame
 is flagged, and its candidate is barred from promotion, so every sequence
 yields a full-length trajectory.
@@ -44,8 +44,8 @@ def validate_config(config: RunConfig) -> None:
         raise ValueError(f"velocity window n must be >= 2, got {config.n}")
     if config.threads < 1:
         raise ValueError(f"threads must be >= 1, got {config.threads}")
-    if not config.scan_period > 0.0:  # NaN fails too
-        raise ValueError(f"scan_period must be positive, got {config.scan_period}")
+    if not 0.0 < config.scan_period < np.inf:  # NaN fails too
+        raise ValueError(f"scan_period must be positive and finite, got {config.scan_period}")
     if not 0.0 <= config.min_range < config.max_range:
         raise ValueError("need 0 <= min_range < max_range, got "
                          f"{config.min_range}..{config.max_range}")
@@ -88,7 +88,11 @@ class OdometryState:
     local_map: LocalMap
     trajectory: list = field(default_factory=list)
     velocity: VelocityEstimate = field(default_factory=VelocityEstimate.zero)
-    frame_index: int = 0
+
+    @property
+    def frame_index(self) -> int:
+        """The index of the next frame: one pose per frame processed."""
+        return len(self.trajectory)
 
     @classmethod
     def initial(cls, config: RunConfig) -> "OdometryState":
@@ -112,6 +116,8 @@ class SequenceAborted(RuntimeError):
 def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameOutput:
     """Advance the odometry by one scan; always yields a pose.
 
+    Every frame ends the same way: one pose appended, the velocity refit and
+    one record built. An empty cloud keeps the prediction and is flagged.
     Stamps must strictly increase from frame to frame.
     """
     k = state.frame_index
@@ -123,72 +129,51 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
     else:
         guess = Isometry3.identity()
 
-    t0 = time.perf_counter()
-    # a zero twist (the first two frames) would only copy the cloud
-    moving = state.velocity.v.any() or state.velocity.omega.any()
-    if state.config.deskew and moving and len(cloud) > 0:
-        if cloud.rel_times is None:
-            cloud = synthesize_rel_times(cloud)
-        cloud = deskew(cloud, state.velocity, state.config.scan_period)
-    t1 = time.perf_counter()
-
+    # the prediction, flagged, until a bootstrap or a registration replaces it
+    pose, p, det, fallback, iterations = guess, 0.0, 0.0, True, 0
+    t0 = t1 = t2 = t3 = time.perf_counter()
     if len(cloud) == 0:
-        # nothing to register; adopt the prediction and move on
         log.warning("frame %d: empty cloud, adopting predicted pose", k)
-        out = FrameOutput(frame=k, pose=guess, matched_fraction=0.0,
-                          det_information=0.0, fallback=True, iterations=0,
-                          t_deskew_ms=(t1 - t0) * 1e3, t_build_ms=0.0,
-                          t_icp_ms=0.0, t_update_ms=0.0)
-        _advance(state, guess, stamp)
-        return out
+    else:
+        # a zero twist (the first two frames) would only copy the cloud
+        moving = state.velocity.v.any() or state.velocity.omega.any()
+        if state.config.deskew and moving:
+            if cloud.rel_times is None:
+                cloud = synthesize_rel_times(cloud)
+            cloud = deskew(cloud, state.velocity, state.config.scan_period)
+        t1 = time.perf_counter()
+        tree = build_tree(cloud, state.tree_params)
+        t2 = t3 = time.perf_counter()
+        if not state.local_map.keyframes:
+            # bootstrap: this scan anchors the map
+            transform_tree(tree, pose)
+            state.local_map.install(Keyframe(tree=tree, information=np.eye(6),
+                                             frame_index=k))
+            p = det = 1.0
+            fallback = False
+        else:
+            try:
+                result = icp(state.local_map.trees(), tree, guess, state.reg_params)
+                pose, fallback = result.pose, False
+            except DegenerateRegistrationError as err:
+                result = err.result
+                log.warning("frame %d: degenerate registration, using predicted pose", k)
+            t3 = time.perf_counter()
+            transform_tree(tree, pose)
+            state.local_map.push_candidate(Keyframe(
+                tree=tree, information=result.information, frame_index=k,
+                degenerate=fallback))
+            state.local_map.maybe_update(result.matched_fraction, state.config.p_th)
+            p, iterations = result.matched_fraction, result.iterations
+            det = float(np.linalg.det(result.information))
 
-    tree = build_tree(cloud, state.tree_params)
-    t2 = time.perf_counter()
-
-    if not state.local_map.keyframes:
-        # bootstrap: this scan anchors the map
-        transform_tree(tree, guess)
-        state.local_map.install(Keyframe(tree=tree, information=np.eye(6),
-                                         frame_index=k))
-        t3 = time.perf_counter()
-        out = FrameOutput(frame=k, pose=guess, matched_fraction=1.0,
-                          det_information=1.0, fallback=False, iterations=0,
-                          t_deskew_ms=(t1 - t0) * 1e3, t_build_ms=(t2 - t1) * 1e3,
-                          t_icp_ms=0.0, t_update_ms=(t3 - t2) * 1e3)
-        _advance(state, guess, stamp)
-        return out
-
-    fallback = False
-    try:
-        result = icp(state.local_map.trees(), tree, guess, state.reg_params)
-        pose = result.pose
-    except DegenerateRegistrationError as err:
-        result = err.result
-        pose = guess
-        fallback = True
-        log.warning("frame %d: degenerate registration, using predicted pose", k)
-    t3 = time.perf_counter()
-
-    transform_tree(tree, pose)
-    state.local_map.push_candidate(Keyframe(
-        tree=tree, information=result.information, frame_index=k,
-        degenerate=fallback))
-    _advance(state, pose, stamp)
-    state.local_map.maybe_update(result.matched_fraction, state.config.p_th)
-    t4 = time.perf_counter()
-
-    return FrameOutput(frame=k, pose=pose,
-                       matched_fraction=result.matched_fraction,
-                       det_information=float(np.linalg.det(result.information)),
-                       fallback=fallback, iterations=result.iterations,
-                       t_deskew_ms=(t1 - t0) * 1e3, t_build_ms=(t2 - t1) * 1e3,
-                       t_icp_ms=(t3 - t2) * 1e3, t_update_ms=(t4 - t3) * 1e3)
-
-
-def _advance(state: OdometryState, pose: Isometry3, stamp: float) -> None:
     state.trajectory.append(StampedPose(pose, stamp))
     state.velocity = estimate_velocity(state.trajectory[-state.config.n:])
-    state.frame_index += 1
+    t4 = time.perf_counter()
+    return FrameOutput(frame=k, pose=pose, matched_fraction=p, det_information=det,
+                       fallback=fallback, iterations=iterations,
+                       t_deskew_ms=(t1 - t0) * 1e3, t_build_ms=(t2 - t1) * 1e3,
+                       t_icp_ms=(t3 - t2) * 1e3, t_update_ms=(t4 - t3) * 1e3)
 
 
 def run_sequence(source: ScanSource, config: RunConfig, on_frame=None):

@@ -45,8 +45,8 @@ DAMPING = 1e-6
 # unobservable (flat or feature-starved geometry)
 CONDITION_LIMIT = 1e12
 # Slack added to every step of `_LeafCache`, per unit of S: the largest
-# |coordinate| of a query so far in the call plus a bound on that of any node
-# centroid, so |q_i - mu_i| <= S; S never shrinks within a call. With
+# |coordinate| of a query so far in the call plus that of any node centroid
+# in the forest, so |q_i - mu_i| <= S; S never shrinks within a call. With
 # u = 2**-53, |d| <= 1 + 8u (a rotated unit eigenvector) and |d|_1 < 1.74,
 # each error below is at most a fixed multiple of u S per step:
 #  - proj = d . (q - mu) rounds four times per term, so the computed value is
@@ -62,8 +62,7 @@ CONDITION_LIMIT = 1e12
 # So while the computed `remaining` stays above zero after steps with
 # 66u S = 33 eps S of slack each, no proj on the query's path has changed
 # sign, and proj == 0 (margin 0) always descends again. The slack is twice
-# that, which also covers the O(n u) relative error of the centroid bound.
-# For 100 m coordinates it is about 3e-12 m per pass.
+# that. For 100 m coordinates it is about 3e-12 m per pass.
 CACHE_SLACK = 64.0 * np.finfo(float).eps
 
 
@@ -203,9 +202,9 @@ class _LeafCache:
 
     def __init__(self, model: "list[KdTree]"):
         self.forest, self.first = _stack_forest(model)
-        # every node centroid is a mean of its tree's points, which lie
-        # within the root's box diagonal of the root centroid
-        self.mu_scale = max(float(np.linalg.norm(t.mus[0])) + t.root_diagonal for t in model)
+        # the largest |coordinate| of any node centroid in the forest
+        mus = self.forest.mus
+        self.mu_scale = max(float(mus.max()), -float(mus.min()))
         self.q_scale = 0.0
         self.wq_prev = None
 

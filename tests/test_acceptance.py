@@ -26,7 +26,7 @@ from worldsim import (
     scan_cloud,
 )
 
-from madlo.dataset_io import PointCloud, RunConfig, Trajectory, read_kitti_bin, read_trajectory_kitti
+from madlo.dataset_io import PointCloud, RunConfig, ScanSource, Trajectory, read_trajectory_kitti
 from madlo.evaluation import RpeConfig, compute_rpe, cumulative_curve
 from madlo.geometry import Isometry3, exp_se3, exp_so3
 from madlo.madtree import build_tree, transform_tree
@@ -304,22 +304,23 @@ def test_criterion_09_kitti_sequence_00_desk_scale(report, announce):
                  "(sequences/00/velodyne, sequences/00/calib.txt, poses/00.txt)")
         pytest.skip(f"{KITTI_ENV} not set or incomplete")
 
-    files = sorted(velodyne.glob("*.bin"))[:1001]
     config = RunConfig(deskew=False, threads=8)
+    source = ScanSource("kitti_bin_dir", velodyne, min_range=config.min_range,
+                        max_range=config.max_range)
+    frames = min(len(source), 1001)
     state = OdometryState.initial(config)
     start = time.perf_counter()
-    for k, path in enumerate(files):
-        cloud = read_kitti_bin(path, config.min_range, config.max_range)
-        process_frame(state, cloud, stamp=k * config.scan_period)
-    mean_ms = (time.perf_counter() - start) * 1e3 / len(files)
+    for k in range(frames):
+        process_frame(state, source.read_scan(k), stamp=k * config.scan_period)
+    mean_ms = (time.perf_counter() - start) * 1e3 / frames
 
     to_cam = _kitti_calib_to_sensor(calib)
     est = Trajectory([StampedPose(to_cam @ sp.pose @ to_cam.inverse(), sp.stamp)
                       for sp in state.trajectory])
-    gt = Trajectory(list(read_trajectory_kitti(gt_file))[:len(files)])
+    gt = Trajectory(list(read_trajectory_kitti(gt_file))[:frames])
     result = compute_rpe(est, gt, RpeConfig())
     report(9, result.overall <= 1.5 and mean_ms < 100.0,
-           f"KITTI 00 frames 0-{len(files) - 1}: RPE {result.overall:.2f}% "
+           f"KITTI 00 frames 0-{frames - 1}: RPE {result.overall:.2f}% "
            f"(bound 1.5%), {mean_ms:.1f} ms/frame (bound 100)")
 
 

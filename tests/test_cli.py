@@ -79,7 +79,8 @@ def test_bad_parameter_value_exits_1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     bad_args = [["--set", value] for value in (
         "b_max=-1", "p_th=0", "min_range=200", "n=1", "b_ratio=nan", "rho_ker=nan",
-        "scan_period=nan", "time_budget_ms=nan", "time_budget_ms=0", "time_budget_ms=-5")]
+        "scan_period=nan", "time_budget_ms=nan", "time_budget_ms=0", "time_budget_ms=-5",
+        "b_max=inf", "scan_period=inf")]
     bad_args += [["--time-budget-ms", "nan"], ["--time-budget-ms", "0"]]
     for bad in bad_args:
         code = main(["odometry", "--data", str(scans), "--out", str(out), *bad])

@@ -83,9 +83,10 @@ def test_kitti_bin_range_filter(tmp_path):
         [0.0, 0.0, 120.0],  # at max, kept
         [150.0, 0.0, 0.0],  # beyond max
     ])
-    write_kitti_bin(tmp_path / "s.bin", PointCloud(pts))
-    cloud = read_kitti_bin(tmp_path / "s.bin", min_range=1.0, max_range=120.0)
-    assert np.array_equal(cloud.points, pts[1:4])
+    # the band is closed; the scan source applies it to every format
+    write_kitti_bin(tmp_path / "000000.bin", PointCloud(pts))
+    src = ScanSource("kitti_bin_dir", tmp_path, min_range=1.0, max_range=120.0)
+    assert np.array_equal(src.read_scan(0).points, pts[1:4])
 
 
 def test_filter_range_keeps_rel_times_aligned():
@@ -470,6 +471,6 @@ def test_scan_source_validation(tmp_path):
         ScanSource("kitti_bin_dir", tmp_path / "missing")
     with pytest.raises(ValueError):
         ScanSource("kitti_bin_dir", tmp_path, min_range=10.0, max_range=1.0)
-    for period in (0.0, -0.1, float("nan")):
+    for period in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ScanSource("kitti_bin_dir", tmp_path, scan_period=period)

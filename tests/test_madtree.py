@@ -189,7 +189,6 @@ def test_two_distant_points_leaf_despite_extent():
 def test_tree_root_single_point():
     tree = build_tree(np.array([[1.0, 2.0, 3.0]]))
     assert np.array_equal(tree.mus[0], [1.0, 2.0, 3.0])
-    assert tree.root_diagonal == 0.0
     # a zero covariance gets the identity basis
     assert np.array_equal(tree.normals[0], [1.0, 0.0, 0.0])
     assert np.array_equal(tree.directions[0], [0.0, 0.0, 1.0])
@@ -206,8 +205,6 @@ def test_tree_root_two_point_hand_case():
     tree = build_tree(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     assert np.array_equal(tree.mus[0], [1.0, 0.0, 0.0])
     assert np.array_equal(tree.directions[0], [1.0, 0.0, 0.0])
-    # the box is 2 m long along x and flat across it
-    assert tree.root_diagonal == 2.0
 
 
 def test_tree_root_matches_two_pass_oracle():
@@ -364,10 +361,6 @@ def test_transform_round_trip():
     mus = tree.mus.copy()
     x = exp_se3(np.array([1.0, -2.0, 0.5, 0.3, -0.2, 0.9]))
     transform_tree(tree, x)
-    # the root's box diagonal is a rigid invariant: the moved tree's basis
-    # measures the moved points the same
-    moved = extents(x.apply(pts), tree.normals[0], tree.directions[0])
-    assert abs(np.linalg.norm(moved) - tree.root_diagonal) < 1e-9
     transform_tree(tree, x.inverse())
     assert np.abs(tree.mus - mus).max() < 1e-9
     assert np.abs(np.linalg.norm(tree.normals[tree.leaf_ids], axis=1) - 1.0).max() < 1e-9
@@ -486,8 +479,7 @@ def test_build_is_deterministic():
 
 def test_interior_nodes_had_room_to_split():
     # extents recomputed from the build points under each node: an interior
-    # node reached b_max along its basis and held at least 3 points, and the
-    # root's box diagonal is the one the tree keeps
+    # node reached b_max along its basis and held at least 3 points
     rng = np.random.default_rng(44)
     pts = random_scene(rng, 600)
     tree = build_tree(pts)
@@ -498,8 +490,6 @@ def test_interior_nodes_had_room_to_split():
         ext = extents(members[i], tree.normals[i], tree.directions[i])
         assert ext[2] >= tree.params.b_max
         assert len(members[i]) >= 3
-    root = extents(pts, tree.normals[0], tree.directions[0])
-    assert abs(np.linalg.norm(root) - tree.root_diagonal) < 1e-12 * tree.root_diagonal
 
 
 def test_ill_defined_bases_are_finite_unit_and_deterministic():
@@ -581,6 +571,8 @@ def test_tree_params_validation():
         TreeParams(b_max=0.1, b_min=0.2)
     with pytest.raises(ValueError):
         TreeParams(b_max=-1.0)
+    with pytest.raises(ValueError):
+        TreeParams(b_max=np.inf)
 
 
 def test_build_rejects_empty_and_nan():

@@ -9,7 +9,7 @@ from worldsim import big_room_panels, panel, rotation_angle_deg, sample_panels, 
 from madlo.dataset_io import PointCloud, RunConfig, ScanSource, write_trajectory_kitti
 from madlo import pipeline
 from madlo.geometry import Isometry3
-from madlo.motion import deskew
+from madlo.motion import deskew, predict_pose
 from madlo.pipeline import (
     OdometryState,
     SequenceAborted,
@@ -45,7 +45,8 @@ def test_validate_config_rejects_unusable_values():
            dict(scan_period=0.0), dict(min_range=200.0), dict(min_range=-1.0),
            dict(max_iterations=0), dict(b_ratio=nan), dict(rho_ker=nan),
            dict(scan_period=nan), dict(time_budget_ms=nan), dict(time_budget_ms=0.0),
-           dict(time_budget_ms=-5.0)]
+           dict(time_budget_ms=-5.0), dict(b_max=float("inf")),
+           dict(scan_period=float("inf"))]
     for overrides in bad:
         with pytest.raises(ValueError):
             validate_config(config(**overrides))
@@ -90,7 +91,6 @@ def test_zero_twist_frames_skip_deskew(monkeypatch):
     for kf_a, kf_b in zip(*kfs):
         for name in ("mus", "normals", "directions", "left", "valid", "leaf_ids"):
             assert getattr(kf_a.tree, name).tobytes() == getattr(kf_b.tree, name).tobytes()
-        assert kf_a.tree.root_diagonal == kf_b.tree.root_diagonal
     process_frame(states[0], clouds[2])  # moving now
     assert deskewed == [len(clouds[2])]
 
@@ -181,6 +181,56 @@ def test_empty_cloud_frames_never_abort():
     third = process_frame(state, empty)
     assert third.fallback
     assert len(state.trajectory) == 3
+
+
+def test_every_frame_kind_yields_its_full_record():
+    # an empty frame, the bootstrap frame, a registered frame and a
+    # degenerate (single-plane) frame, then an empty one again: each yields
+    # its whole record and exactly one trajectory pose
+    rng = np.random.default_rng(126)
+    room_scan = scan_cloud(rng, big_room_panels(), room_pose(), n=3000)
+    ex, ey = np.eye(3)[0], np.eye(3)[1]
+    floor_patch = [panel([8.0, 8.0, 0.0], ex, ey, 14.0, 14.0)]
+    floor_scan = PointCloud(room_pose().inverse().apply(sample_panels(rng, floor_patch, 3000)))
+    empty = PointCloud(np.zeros((0, 3)))
+    state = OdometryState.initial(config())
+    outputs, guesses = [], []
+    for k, cloud in enumerate([empty, room_scan, room_scan, floor_scan, empty]):
+        stamp = k * state.config.scan_period
+        if state.trajectory:
+            last = state.trajectory[-1]
+            guesses.append(predict_pose(last.pose, state.velocity, stamp - last.stamp))
+        else:
+            guesses.append(Isometry3.identity())
+        out = process_frame(state, cloud)
+        outputs.append(out)
+        assert out.frame == k
+        assert state.frame_index == len(state.trajectory) == k + 1
+        assert state.trajectory[-1].stamp == stamp
+        assert state.trajectory[-1].pose.matrix().tobytes() == out.pose.matrix().tobytes()
+        assert min(out.t_deskew_ms, out.t_build_ms, out.t_icp_ms, out.t_update_ms) >= 0.0
+
+    def same_pose(a, b):
+        return a.matrix().tobytes() == b.matrix().tobytes()
+
+    for k in (0, 4):  # empty: the prediction, flagged, nothing built or registered
+        out = outputs[k]
+        assert same_pose(out.pose, guesses[k])
+        assert (out.matched_fraction, out.det_information, out.fallback, out.iterations,
+                out.t_build_ms, out.t_icp_ms) == (0.0, 0.0, True, 0, 0.0, 0.0)
+    boot = outputs[1]  # bootstrap: the map's anchor, nothing registered
+    assert same_pose(boot.pose, Isometry3.identity())
+    assert (boot.matched_fraction, boot.det_information, boot.fallback, boot.iterations,
+            boot.t_icp_ms) == (1.0, 1.0, False, 0, 0.0)
+    registered = outputs[2]
+    assert not registered.fallback and registered.iterations >= 1
+    assert registered.matched_fraction > 0.8 and registered.det_information > 0.0
+    assert np.linalg.norm(registered.pose.translation) < 1e-6
+    degenerate = outputs[3]  # the prediction, flagged, after at least one pass
+    assert same_pose(degenerate.pose, guesses[3])
+    assert degenerate.fallback and degenerate.iterations >= 1
+    assert 0.0 <= degenerate.matched_fraction <= 1.0
+    assert 3 not in [kf.frame_index for kf in state.local_map.keyframes]
 
 
 def test_time_budget_stops_iterating_early():

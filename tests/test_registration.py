@@ -216,14 +216,20 @@ def test_leaf_cache_matches_full_descent():
     their landing data are those of a full descent and gather, bit for bit:
     zero steps, shrinking random motions, translations that put a query
     within 1e-12 m of a split plane on its path, and queries that start
-    exactly on interior centroids."""
+    exactly on interior centroids; the last forest sits 1e4 m from the
+    origin, where the slack, which scales with the largest coordinate, is
+    widest."""
     rng = np.random.default_rng(62)
-    for _ in range(4):
+    for i in range(4):
         model = [build_tree(room_cloud(rng, n, size=20.0)) for n in (3000, 600, 3000)]
         for tree in model[1:]:
             transform_tree(tree, random_small_isometry(rng, 2.0, 0.3))
+        offset = np.full(3, 1e4 if i == 3 else 0.0)
+        if i == 3:
+            for tree in model:
+                transform_tree(tree, Isometry3(np.eye(3), offset))
         interior = np.flatnonzero(model[0].left >= 0)
-        mus_q = np.vstack([rng.uniform(-1.0, 21.0, size=(400, 3)),
+        mus_q = np.vstack([rng.uniform(-1.0, 21.0, size=(400, 3)) + offset,
                            model[0].mus[rng.choice(interior, size=40)]])
         cache = _LeafCache(model)
         pose = Isometry3.identity()
