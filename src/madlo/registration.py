@@ -10,10 +10,14 @@ landing leaf has a usable normal and lies within an adaptive gate
 that widens with range, where angular leaf footprints grow. Accumulation is
 Huber-reweighted Gauss-Newton on SE(3) with a left-multiplied increment; the
 6x6 system matrix doubles as the information matrix of the estimate and is
-what keyframe selection consumes downstream.
+what keyframe selection consumes downstream. The loop stops once an
+increment moves the pose by less than 1e-4 m and 1e-4 rad, each part of
+the twist measured in its own unit (KISS-ICP stops on a 1e-4 increment
+too).
 
 Model trees are accumulated one after another and reduced in tree order, so
-the result is reproducible bit for bit.
+the result is reproducible bit for bit. A tree's H and b are two matrix
+products over its accepted rows, J^T W J and J^T W e.
 
 Within one call the trees stay put and the queries move only by the pose
 increments, so every query keeps its leaf in each tree across passes, and
@@ -37,8 +41,10 @@ import numpy as np
 from .geometry import Isometry3, exp_se3
 from .madtree import KdTree
 
-# increment norm below which the solve has converged
-CONVERGENCE_EPSILON = 1e-6
+# the solve has converged once an increment moves the pose by less than both:
+# metres of translation and radians of rotation (xi[:3] and xi[3:])
+CONVERGED_TRANSLATION = 1e-4
+CONVERGED_ROTATION = 1e-4
 # Levenberg term added to the diagonal of H, scaled by trace(H)/6
 DAMPING = 1e-6
 # information-matrix condition number beyond which the solve is declared
@@ -78,7 +84,9 @@ class RegistrationParams:
             raise ValueError("b_ratio and rho_ker must be positive")
         if self.time_budget is not None and not self.time_budget > 0.0:
             raise ValueError("time_budget must be positive")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, (int, np.integer))
+                or self.max_iterations < 1):
             raise ValueError(f"max_iterations must be an int >= 1, got {self.max_iterations!r}")
 
 
@@ -162,8 +170,8 @@ def _accumulate(wq: np.ndarray, radii: np.ndarray, mu_l: np.ndarray, n_l: np.nda
     e, jac = point_to_plane(wq.take(rows, axis=0), mu_l.take(rows, axis=0),
                             n_l.take(rows, axis=0), jac[:rows.size])
     w = huber_weight(e, rho_ker)
-    h = np.einsum("ki,kj->ij", jac * w[:, None], jac)
-    b = np.einsum("ki,k->i", jac, w * e)
+    h = (jac * w[:, None]).T @ jac
+    b = jac.T @ (w * e)
     cost = float(huber_cost(e, rho_ker).sum())
     return h, b, acc, cost
 
@@ -299,7 +307,8 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
             break
         xi = np.linalg.solve(h + (DAMPING * trace / 6.0) * np.eye(6), -b)
         pose = exp_se3(xi) @ pose
-        if float(np.linalg.norm(xi)) < CONVERGENCE_EPSILON:
+        if (float(np.linalg.norm(xi[:3])) < CONVERGED_TRANSLATION
+                and float(np.linalg.norm(xi[3:])) < CONVERGED_ROTATION):
             reason = "converged"
             break
 

@@ -1,14 +1,18 @@
 """Registration tests: gating, residual/Jacobian, and full ICP behavior."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from madlo import registration
 from madlo.geometry import Isometry3, exp_se3, exp_so3
 from madlo.madtree import KdTree, TreeParams, build_tree, transform_tree
 from madlo.registration import (
     DegenerateRegistrationError,
     RegistrationParams,
+    _accumulate,
     _LeafCache,
     _stack_forest,
     associate,
@@ -163,6 +167,47 @@ def test_point_to_plane_matches_numpy_cross_bit_for_bit():
     assert np.shares_memory(into, buf) and into.tobytes() == want.tobytes()
 
 
+def test_accumulate_matches_per_row_fsum_oracle():
+    """H and b against per-row exact sums over the accepted pairs: each entry
+    within 1e-12 of the sum of its terms' magnitudes; no accepted row gives
+    exact zeros."""
+    rng = np.random.default_rng(69)
+    n, rho = 700, 0.1
+    wq = rng.uniform(-60.0, 60.0, size=(n, 3))
+    mu_l = wq + rng.normal(scale=0.15, size=(n, 3))
+    n_l = rng.normal(size=(n, 3))
+    n_l /= np.linalg.norm(n_l, axis=1)[:, None]
+    radii = rng.uniform(0.1, 0.4, size=n)
+    valid = rng.random(n) < 0.8
+    jac = np.full((n, 6), np.nan)
+    h, b, acc, cost = _accumulate(wq, radii, mu_l, n_l, valid, jac, rho)
+    rows, kept = [], []
+    for k in range(n):
+        diff = [float(x) - float(y) for x, y in zip(wq[k], mu_l[k])]
+        if not (valid[k] and math.sqrt(math.fsum(x * x for x in diff)) <= radii[k]):
+            continue
+        nk, qk = [float(x) for x in n_l[k]], [float(x) for x in wq[k]]
+        e = math.fsum(x * y for x, y in zip(nk, diff))
+        cross = [qk[1] * nk[2] - qk[2] * nk[1], qk[2] * nk[0] - qk[0] * nk[2],
+                 qk[0] * nk[1] - qk[1] * nk[0]]
+        w = 1.0 if abs(e) <= rho else rho / abs(e)
+        rows.append((nk + cross, w, e))
+        kept.append(k)
+    assert 0 < len(kept) < n and np.array_equal(np.flatnonzero(acc), kept)
+    for i in range(6):
+        terms = [j[i] * w * e for j, w, e in rows]
+        assert abs(b[i] - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+        for j in range(6):
+            terms = [w * r[i] * r[j] for r, w, _ in rows]
+            assert abs(h[i, j] - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+    assert cost == pytest.approx(math.fsum(
+        0.5 * e * e if abs(e) <= rho else rho * (abs(e) - 0.5 * rho) for _, _, e in rows),
+        rel=1e-12)
+    h, b, acc, cost = _accumulate(wq, radii, mu_l, n_l, np.zeros(n, dtype=bool), jac, rho)
+    assert not acc.any() and cost == 0.0
+    assert h.shape == (6, 6) and b.shape == (6,) and not h.any() and not b.any()
+
+
 # ------------------------------------------------------ forest and cache
 
 
@@ -277,6 +322,41 @@ def test_leaf_cache_zero_step_descends_only_zero_margins(monkeypatch):
     assert descended == [len(wq)] * 2 + [zero] * 4
     monkeypatch.undo()
     assert_cache_is_full_descent(cache, model, wq)
+
+
+def test_leaf_cache_slack_catches_a_rounded_sign_flip(monkeypatch):
+    """A query on the root plane, then moved by a few ulps: its computed
+    projection is 1.1e-16 and then -1.1e-16, a flip larger than the
+    computed step of 7.9e-17, so margin minus step stays above zero while a
+    full descent changes leaf. The slack re-descends it; without the slack
+    the cache keeps the wrong leaf. The tree is two leaves either side of a
+    root plane through (0.1, -0.2, 0.3) with normal (1, 2, 3) / sqrt(14)."""
+    d = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    mu = np.array([0.1, -0.2, 0.3])
+    tree = KdTree()
+    tree.mus = np.asfortranarray([mu, mu - 0.5 * d, mu + 0.5 * d])
+    tree.directions = np.asfortranarray([d, d, d])
+    tree.normals = np.array([d, d, d])
+    tree.valid = np.ones(3, dtype=bool)
+    tree.left = np.array([1, -1, -1])
+    tree.depth = 1
+    q = np.array([[float.fromhex(x) for x in
+                   ("0x1.5749be113cb61p-1", "0x1.3f411aecb515dp-3", "-0x1.04f420708567bp-3")]])
+    moved = np.array([[float.fromhex(x) for x in
+                       ("0x1.5749be113cb61p-1", "0x1.3f411aecb515bp-3", "-0x1.04f420708567dp-3")]])
+    margin = np.empty(1)
+    assert tree.descend(q, margin)[0] == 2 and tree.descend(moved)[0] == 1
+    step = np.sqrt(np.einsum("ni,ni->n", moved - q, moved - q))
+    assert margin[0] - step[0] > 0.0
+    cache = _LeafCache([tree])
+    for wq in (q, moved):
+        cache.update(wq)
+        assert_cache_is_full_descent(cache, [tree], wq)
+    monkeypatch.setattr(registration, "CACHE_SLACK", 0.0)
+    cache = _LeafCache([tree])
+    cache.update(q)
+    cache.update(moved)
+    assert np.array_equal(cache.mu_l[0], tree.mus[[2]])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -453,6 +533,20 @@ def test_icp_reports_why_it_stopped(room):
     assert exc.value.result.reason == "no_information"
 
 
+def test_icp_converges_on_known_rigid_motion(room):
+    """The loop stops on the pose's own units before the cap, on the truth
+    to within 1e-3 m and 1e-4 rad."""
+    pts, tree = room
+    rng = np.random.default_rng(70)
+    params = RegistrationParams()
+    for _ in range(10):
+        true = random_small_isometry(rng, 5.0, 0.5)
+        res = icp([tree], build_tree(true.inverse().apply(pts)), Isometry3.identity(), params)
+        assert res.reason == "converged" and res.iterations < params.max_iterations
+        assert np.linalg.norm(res.pose.translation - true.translation) < 1e-3
+        assert np.deg2rad(rotation_angle_deg(res.pose.rotation.T @ true.rotation)) < 1e-4
+
+
 def test_icp_multi_tree_matches_single_tree_reduction(room):
     """Handing the same tree twice must give the single-tree pose bit for bit
     and exactly twice its information: each tree's terms are summed in order."""
@@ -474,6 +568,6 @@ def test_registration_params_validation():
                 dict(time_budget=0.0), dict(time_budget=-0.005), dict(time_budget=nan)):
         with pytest.raises(ValueError):
             RegistrationParams(**bad)
-    for bad in (0, -1, None):
+    for bad in (0, -1, None, True):
         with pytest.raises(ValueError):
             RegistrationParams(max_iterations=bad)
