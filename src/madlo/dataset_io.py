@@ -200,29 +200,9 @@ def read_ply(path) -> PointCloud:
 # ----------------------------------------------------------- trajectories
 
 
-@dataclass
-class Trajectory:
-    """Index-aligned sequence of stamped poses with non-decreasing stamps."""
-
-    poses: list
-
-    def __post_init__(self):
-        stamps = [sp.stamp for sp in self.poses]
-        if any(b < a for a, b in zip(stamps, stamps[1:])):
-            raise ValueError("trajectory stamps must be non-decreasing")
-
-    def __len__(self):
-        return len(self.poses)
-
-    def __iter__(self):
-        return iter(self.poses)
-
-    def __getitem__(self, i):
-        return self.poses[i]
-
-
-def write_trajectory_kitti(traj: Trajectory, path) -> None:
-    """One line per pose: the 12 row-major floats of the upper 3x4."""
+def write_trajectory_kitti(traj, path) -> None:
+    """One line per StampedPose of ``traj``: the 12 row-major floats of the
+    upper 3x4."""
     lines = []
     for sp in traj:
         row = sp.pose.matrix()[:3, :].reshape(-1)
@@ -230,8 +210,9 @@ def write_trajectory_kitti(traj: Trajectory, path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_trajectory_kitti(path) -> Trajectory:
-    """Inverse of write_trajectory_kitti; stamps are the line indices."""
+def read_trajectory_kitti(path) -> list:
+    """Inverse of write_trajectory_kitti: a list of StampedPose whose stamps
+    are the line indices."""
     poses = []
     for lineno, line in enumerate(Path(path).read_text().splitlines()):
         if not line.strip():
@@ -247,7 +228,7 @@ def read_trajectory_kitti(path) -> Trajectory:
         except ValueError as err:
             raise ValueError(f"{path}:{lineno + 1}: {err}") from None
         poses.append(StampedPose(pose, float(len(poses))))
-    return Trajectory(poses)
+    return poses
 
 
 # ----------------------------------------------------------- configuration

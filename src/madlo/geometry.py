@@ -197,12 +197,12 @@ class PointCloud:
 REPEATED_TOL = 1e-12
 
 
-def eig_sym3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigen-decomposition of F symmetric 3x3 matrices.
+def eig_sym3(m: np.ndarray) -> np.ndarray:
+    """Closed-form eigenvectors of F symmetric 3x3 matrices.
 
-    ``m`` is (6, F): the rows xx, xy, xz, yy, yz, zz. Returns the eigenvalues
-    as (3, F), ascending, and the eigenvectors as (3, 3, F): ``vecs[j]``
-    belongs to ``vals[j]`` and holds one row per axis.
+    ``m`` is (6, F): the rows xx, xy, xz, yy, yz, zz. Returns the eigenvectors
+    as (3, 3, F): ``vecs[j]`` belongs to the j-th smallest eigenvalue and
+    holds one row per axis.
 
     The eigenvalues are trigonometric (Smith 1961). The end eigenvalue
     (smallest or largest) that lies farther from the middle one is accurate,
@@ -259,19 +259,15 @@ def eig_sym3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b22 = (a * t[0] + 2.0 * (xy * t[1] + xz * t[2])) * t[0] + (d * t[1] + 2.0 * yz * t[2]) * t[1] \
         + g * t[2] * t[2]
     # the Jacobi rotation that diagonalizes [[b11, b12], [b12, b22]], whose
-    # eigenvalues are half -+ rad; a repeated pair keeps (s, t) as it is
-    half, rad = 0.5 * (b11 + b22), np.hypot(0.5 * (b11 - b22), b12)
+    # eigenvalues are (b11 + b22) / 2 -+ rad; a repeated pair keeps (s, t)
+    rad = np.hypot(0.5 * (b11 - b22), b12)
     theta = np.where(rad > REPEATED_TOL, 0.5 * np.arctan2(2.0 * b12, b11 - b22), 0.0)
     cos, sin = np.cos(theta), np.sin(theta)
     big, small = cos * s + sin * t, cos * t - sin * s
-    lo, hi = half - rad, half + rad
     vecs = np.array([np.where(upper, small, u), np.where(upper, big, small), np.where(upper, u, big)])
-    vals = np.array([np.where(upper, lo, lam), np.where(upper, hi, lo), np.where(upper, lam, hi)])
     vecs[:, :, iso] = np.eye(3)[:, :, None]
-    vals[:, iso] = 0.0
     # sign rule: the first component of largest magnitude is positive
     ax, ay, az = np.abs(vecs[:, 0]), np.abs(vecs[:, 1]), np.abs(vecs[:, 2])
     picked = np.where((ax >= ay) & (ax >= az), vecs[:, 0], np.where(ay >= az, vecs[:, 1], vecs[:, 2]))
     vecs *= np.where(picked < 0.0, -1.0, 1.0)[:, None]
-    # the pair and the end agree to rounding when all three nearly coincide
-    return np.sort(np.ldexp(vals + q, e), axis=0), vecs
+    return vecs

@@ -129,14 +129,7 @@ class KdTree:
 
 def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
     """Build the tree over a PointCloud or an (N, 3) array."""
-    if isinstance(cloud, PointCloud):
-        pts = cloud.points
-    else:
-        pts = np.ascontiguousarray(np.asarray(cloud, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("points contain NaN/Inf")
+    pts = (cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)).points
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cannot build a tree over an empty cloud")
@@ -179,7 +172,7 @@ def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:
         np.multiply(d[1], d[1:], out=w[:2])
         np.multiply(d[2], d[2], out=w[2])
         moments = np.concatenate([xx_xy_xz, np.add.reduceat(w, starts, axis=1)])
-        vecs = eig_sym3(moments / lengths)[1]
+        vecs = eig_sym3(moments / lengths)
 
         # y[j] = d . vecs[j]: the offsets in each node's eigenbasis
         y = w

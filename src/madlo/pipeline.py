@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset_io import RunConfig, ScanSource, Trajectory, synthesize_rel_times
+from .dataset_io import RunConfig, ScanSource, synthesize_rel_times
 from .geometry import Isometry3, PointCloud
 from .localmap import Keyframe, LocalMap
 from .madtree import TreeParams, build_tree, transform_tree
@@ -27,17 +27,13 @@ log = logging.getLogger(__name__)
 FRAME_LOG_HEADER = "frame,t_deskew_ms,t_build_ms,t_icp_ms,t_update_ms,p,det_H,fallback"
 
 
-def registration_params(config: RunConfig) -> RegistrationParams:
+def validate_config(config: RunConfig) -> tuple[TreeParams, RegistrationParams]:
+    """Reject parameter values the pipeline cannot run with (raises
+    ValueError); return the tree and registration parameters of the rest."""
     budget = None if config.time_budget_ms is None else config.time_budget_ms / 1000.0
-    return RegistrationParams(b_ratio=config.b_ratio, rho_ker=config.rho_ker,
-                              max_iterations=config.max_iterations,
-                              time_budget=budget)
-
-
-def validate_config(config: RunConfig) -> None:
-    """Reject parameter values the pipeline cannot run with (raises ValueError)."""
-    TreeParams(b_max=config.b_max, b_min=config.b_min)
-    registration_params(config)
+    params = (TreeParams(b_max=config.b_max, b_min=config.b_min),
+              RegistrationParams(b_ratio=config.b_ratio, rho_ker=config.rho_ker,
+                                 max_iterations=config.max_iterations, time_budget=budget))
     if not 0.0 < config.p_th <= 1.0:
         raise ValueError(f"p_th must be in (0, 1], got {config.p_th}")
     if config.n < 2:
@@ -49,6 +45,7 @@ def validate_config(config: RunConfig) -> None:
     if not 0.0 <= config.min_range < config.max_range:
         raise ValueError("need 0 <= min_range < max_range, got "
                          f"{config.min_range}..{config.max_range}")
+    return params
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,8 @@ class OdometryState:
 
     @classmethod
     def initial(cls, config: RunConfig) -> "OdometryState":
-        validate_config(config)
-        return cls(config=config,
-                   tree_params=TreeParams(b_max=config.b_max, b_min=config.b_min),
-                   reg_params=registration_params(config),
+        tree_params, reg_params = validate_config(config)
+        return cls(config=config, tree_params=tree_params, reg_params=reg_params,
                    local_map=LocalMap())
 
 
@@ -118,14 +113,18 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
 
     Every frame ends the same way: one pose appended, the velocity refit and
     one record built. An empty cloud keeps the prediction and is flagged.
-    Stamps must strictly increase from frame to frame.
+    A stamp that is not finite or not above the last one raises ValueError
+    before the state changes.
     """
     k = state.frame_index
     if stamp is None:
         stamp = k * state.config.scan_period
+    last = state.trajectory[-1].stamp if state.trajectory else -np.inf
+    if not last < stamp < np.inf:  # NaN fails too
+        raise ValueError(f"frame {k}: stamp {stamp!r} must be finite and above "
+                         f"the last stamp {last!r}")
     if state.trajectory:
-        dt = stamp - state.trajectory[-1].stamp
-        guess = predict_pose(state.trajectory[-1].pose, state.velocity, dt)
+        guess = predict_pose(state.trajectory[-1].pose, state.velocity, stamp - last)
     else:
         guess = Isometry3.identity()
 
@@ -179,7 +178,7 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
 def run_sequence(source: ScanSource, config: RunConfig, on_frame=None):
     """Run odometry over every scan in the source.
 
-    Returns (Trajectory, [FrameOutput]). ``on_frame(output)`` fires after
+    Returns ([StampedPose], [FrameOutput]). ``on_frame(output)`` fires after
     each frame so callers can stream the log to disk. A reader error raises
     SequenceAborted carrying everything processed so far.
     """
@@ -190,9 +189,9 @@ def run_sequence(source: ScanSource, config: RunConfig, on_frame=None):
         try:
             cloud = source.read_scan(k)
         except (OSError, ValueError) as err:
-            raise SequenceAborted(err, Trajectory(state.trajectory), outputs) from err
+            raise SequenceAborted(err, state.trajectory, outputs) from err
         out = process_frame(state, cloud, stamp=stamps[k])
         outputs.append(out)
         if on_frame is not None:
             on_frame(out)
-    return Trajectory(state.trajectory), outputs
+    return state.trajectory, outputs

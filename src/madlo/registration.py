@@ -120,8 +120,7 @@ def gate_radius(mu_q: np.ndarray, b_max: float, b_ratio: float) -> np.ndarray:
 
 def huber_weight(e, rho_ker: float):
     """IRLS weight: 1 inside the kernel, rho_ker/|e| outside."""
-    a = np.abs(e)
-    return np.where(a <= rho_ker, 1.0, rho_ker / np.maximum(a, 1e-300))
+    return rho_ker / np.maximum(np.abs(e), rho_ker)
 
 
 def huber_cost(e, rho_ker: float):

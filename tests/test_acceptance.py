@@ -26,7 +26,7 @@ from worldsim import (
     scan_cloud,
 )
 
-from madlo.dataset_io import PointCloud, RunConfig, ScanSource, Trajectory, read_trajectory_kitti
+from madlo.dataset_io import PointCloud, RunConfig, ScanSource, read_trajectory_kitti
 from madlo.evaluation import RpeConfig, compute_rpe, cumulative_curve
 from madlo.geometry import Isometry3, exp_se3, exp_so3
 from madlo.madtree import build_tree, transform_tree
@@ -103,11 +103,9 @@ def random_cloud(rng) -> np.ndarray:
             + rng.normal(scale=rng.uniform(0.05, 2.0), size=(n, 3)))
 
 
-def line_trajectory(n: int, scale: float = 1.0) -> Trajectory:
-    return Trajectory([
-        StampedPose(Isometry3(np.eye(3), np.array([scale * k, 0.0, 0.0])), float(k))
-        for k in range(n)
-    ])
+def line_trajectory(n: int, scale: float = 1.0) -> list:
+    return [StampedPose(Isometry3(np.eye(3), np.array([scale * k, 0.0, 0.0])), float(k))
+            for k in range(n)]
 
 
 # ---------------------------------------------------------------- criteria
@@ -315,9 +313,9 @@ def test_criterion_09_kitti_sequence_00_desk_scale(report, announce):
     mean_ms = (time.perf_counter() - start) * 1e3 / frames
 
     to_cam = _kitti_calib_to_sensor(calib)
-    est = Trajectory([StampedPose(to_cam @ sp.pose @ to_cam.inverse(), sp.stamp)
-                      for sp in state.trajectory])
-    gt = Trajectory(list(read_trajectory_kitti(gt_file))[:frames])
+    est = [StampedPose(to_cam @ sp.pose @ to_cam.inverse(), sp.stamp)
+           for sp in state.trajectory]
+    gt = read_trajectory_kitti(gt_file)[:frames]
     result = compute_rpe(est, gt, RpeConfig())
     report(9, result.overall <= 1.5 and mean_ms < 100.0,
            f"KITTI 00 frames 0-{frames - 1}: RPE {result.overall:.2f}% "

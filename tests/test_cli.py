@@ -13,10 +13,10 @@ from scanfiles import write_kitti_bin, write_ply
 from worldsim import big_room_panels, scan_cloud
 
 from madlo.cli import MAX_LENGTHS, build_run_config, main, parse_lengths
-from madlo.dataset_io import Trajectory, write_trajectory_kitti
+from madlo.dataset_io import RunConfig, ScanSource, write_trajectory_kitti
 from madlo.geometry import Isometry3, exp_se3
 from madlo.motion import StampedPose
-from madlo.pipeline import FRAME_LOG_HEADER
+from madlo.pipeline import FRAME_LOG_HEADER, run_sequence
 
 
 def write_room_scans(tmp_path, n_frames=3, n_points=1500, seed=130, ply=False):
@@ -40,7 +40,7 @@ def write_walk_trajectory(path, n=80, seed=131):
         x = x @ exp_se3(np.concatenate([rng.uniform(-0.1, 0.1, 3) + [1, 0, 0],
                                         rng.uniform(-0.02, 0.02, 3)]))
         poses.append(StampedPose(x, float(k)))
-    write_trajectory_kitti(Trajectory(poses), path)
+    write_trajectory_kitti(poses, path)
 
 
 # -------------------------------------------------------------- odometry
@@ -64,6 +64,24 @@ def test_odometry_smoke(tmp_path, capsys):
     assert float(rows[0][5]) == 1.0  # bootstrap matched fraction
     assert not list(out.glob("*.tmp"))
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("deskew", [True, False])
+def test_odometry_writes_what_run_sequence_gives(tmp_path, deskew):
+    scans = write_room_scans(tmp_path, n_frames=5)
+    out = tmp_path / "out"
+    code = main(["odometry", "--data", str(scans), "--out", str(out),
+                 *([] if deskew else ["--no-deskew"])])
+    assert code == 0
+    config = RunConfig(deskew=deskew)
+    trajectory, outputs = run_sequence(ScanSource("kitti_bin_dir", scans), config)
+    write_trajectory_kitti(trajectory, tmp_path / "expected.txt")
+    assert (out / "trajectory.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+    # frame, p, det_H, fallback: the columns that do not time anything
+    untimed = [0, 5, 6, 7]
+    rows = (out / "frames.csv").read_text().splitlines()[1:]
+    assert [[row.split(",")[i] for i in untimed] for row in rows] == \
+        [[o.csv_row().split(",")[i] for i in untimed] for o in outputs]
 
 
 def test_unknown_flag_exits_1_and_writes_nothing(tmp_path):

@@ -11,7 +11,6 @@ from scanfiles import write_kitti_bin, write_ply
 from madlo.dataset_io import (
     RunConfig,
     ScanSource,
-    Trajectory,
     coerce_config_value,
     filter_range,
     parse_config,
@@ -30,7 +29,7 @@ def random_trajectory(rng, n, step=0.1):
     for k in range(n):
         x = x @ exp_se3(rng.uniform(-0.3, 0.3, size=6))
         poses.append(StampedPose(x, k * step))
-    return Trajectory(poses)
+    return poses
 
 
 # ------------------------------------------------------------- KITTI bin
@@ -311,8 +310,7 @@ def test_ply_rejects_truncated_binary(tmp_path):
 
 
 def test_kitti_trajectory_identity_line(tmp_path):
-    write_trajectory_kitti(Trajectory([StampedPose(Isometry3.identity(), 0.0)]),
-                           tmp_path / "t.txt")
+    write_trajectory_kitti([StampedPose(Isometry3.identity(), 0.0)], tmp_path / "t.txt")
     assert (tmp_path / "t.txt").read_text() == "1 0 0 0 0 1 0 0 0 0 1 0\n"
 
 
@@ -344,12 +342,6 @@ def test_kitti_trajectory_bad_value_names_file_and_line(tmp_path, bad_line, reas
     path.write_text(f"1 0 0 0 0 1 0 0 0 0 1 0\n\n{bad_line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{reason}"):
         read_trajectory_kitti(path)
-
-
-def test_trajectory_rejects_decreasing_stamps():
-    with pytest.raises(ValueError):
-        Trajectory([StampedPose(Isometry3.identity(), 1.0),
-                    StampedPose(Isometry3.identity(), 0.5)])
 
 
 # ------------------------------------------------------------------ config

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from madlo.dataset_io import Trajectory
 from madlo.evaluation import (
     RpeConfig,
     compute_rpe,
@@ -47,21 +46,20 @@ def walk_trajectory(rng, n, scale=0.3):
     for k in range(n):
         x = x @ exp_se3(rng.uniform(-scale, scale, size=6))
         poses.append(StampedPose(x, float(k)))
-    return Trajectory(poses)
+    return poses
 
 
 def straight_line(n, spacing=1.0, scale=1.0):
-    return Trajectory([
+    return [
         StampedPose(Isometry3(np.eye(3), np.array([scale * spacing * k, 0.0, 0.0])),
                     float(k))
         for k in range(n)
-    ])
+    ]
 
 
 def perturb(traj, rng, scale):
-    poses = [StampedPose(sp.pose @ exp_se3(rng.uniform(-scale, scale, size=6)),
-                         sp.stamp) for sp in traj]
-    return Trajectory(poses)
+    return [StampedPose(sp.pose @ exp_se3(rng.uniform(-scale, scale, size=6)), sp.stamp)
+            for sp in traj]
 
 
 # -------------------------------------------------------------------- RPE
@@ -113,7 +111,7 @@ def test_rpe_rotation_error_recorded_internally():
     est_poses[2] = StampedPose(
         Isometry3(exp_so3(np.array([0.0, 0.0, 0.1])), np.array([2.0, 0.0, 0.0])),
         est_poses[2].stamp)
-    report = compute_rpe(Trajectory(est_poses), gt, RpeConfig(lengths=(2.0,)))
+    report = compute_rpe(est_poses, gt, RpeConfig(lengths=(2.0,)))
     rec = report.records[0]
     assert rec.trans_err_pct < 1e-12
     assert abs(rec.rot_err_deg_per_m - np.degrees(0.1) / 2.0) < 1e-12
@@ -131,8 +129,8 @@ def test_rpe_gauge_invariance():
     gt = walk_trajectory(rng, 40)
     est = perturb(gt, rng, 0.05)
     gauge = exp_se3(np.array([10.0, -4.0, 2.0, 0.4, 0.8, -0.2]))
-    gt_g = Trajectory([StampedPose(gauge @ sp.pose, sp.stamp) for sp in gt])
-    est_g = Trajectory([StampedPose(gauge @ sp.pose, sp.stamp) for sp in est])
+    gt_g = [StampedPose(gauge @ sp.pose, sp.stamp) for sp in gt]
+    est_g = [StampedPose(gauge @ sp.pose, sp.stamp) for sp in est]
     cfg = RpeConfig(lengths=(2.0, 4.0))
     a = compute_rpe(est, gt, cfg)
     b = compute_rpe(est_g, gt_g, cfg)

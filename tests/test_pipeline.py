@@ -233,6 +233,47 @@ def test_every_frame_kind_yields_its_full_record():
     assert 3 not in [kf.frame_index for kf in state.local_map.keyframes]
 
 
+def test_bad_stamp_raises_before_the_state_changes():
+    # a repeated, a decreasing, a NaN and an infinite stamp each raise and
+    # leave the state as it was, so the run goes on as if they never came
+    from worldsim import corridor_panels
+
+    rng = np.random.default_rng(127)
+    panels = corridor_panels(length=40.0)
+    clouds = [scan_cloud(rng, panels, p, n=2000) for p in corridor_poses(5)]
+    reference = OdometryState.initial(config())
+    for k, cloud in enumerate(clouds):
+        process_frame(reference, cloud, stamp=0.1 * k)
+
+    state = OdometryState.initial(config())
+    for stamp in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="stamp"):
+            process_frame(state, clouds[0], stamp=stamp)
+    assert not state.trajectory and not state.local_map.keyframes
+    for k in range(3):
+        process_frame(state, clouds[k], stamp=0.1 * k)
+
+    def carried():
+        """The objects the state carries across frames."""
+        m = state.local_map
+        return [list(state.trajectory), list(m.keyframes), list(m.candidates), [state.velocity]]
+
+    def ids(parts):
+        return [[id(x) for x in part] for part in parts]
+
+    before = carried()  # held, so no id is reused
+    last = state.trajectory[-1].stamp
+    for stamp in (last, last - 0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="stamp"):
+            process_frame(state, clouds[3], stamp=stamp)
+        assert ids(carried()) == ids(before)
+    for k in (3, 4):
+        process_frame(state, clouds[k], stamp=0.1 * k)
+    assert len(state.trajectory) == len(reference.trajectory)
+    for sp, ref in zip(state.trajectory, reference.trajectory):
+        assert sp.pose.matrix().tobytes() == ref.pose.matrix().tobytes()
+
+
 def test_time_budget_stops_iterating_early():
     rng = np.random.default_rng(125)
     panels = big_room_panels()

@@ -54,6 +54,9 @@ def test_huber_weight_values():
     assert huber_weight(0.1, 0.1) == pytest.approx(1.0)
     assert huber_weight(0.2, 0.1) == pytest.approx(0.5)
     assert huber_weight(-0.2, 0.1) == pytest.approx(0.5)
+    # the edges are exact: 1 at zero and at the kernel width, 0 at infinity
+    e = np.array([0.0, -0.0, 0.1, -0.1, np.inf, -np.inf])
+    assert huber_weight(e, 0.1).tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
 
 
 def valid_leaf_mus(tree):
