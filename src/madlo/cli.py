@@ -61,9 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     od.add_argument("--config", help="key = value config file")
     od.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override one config key (repeatable)")
-    od.add_argument("--time-budget-ms", type=float, dest="time_budget_ms",
-                    help="per-frame registration time budget")
-    od.add_argument("--no-deskew", action="store_true", help="disable motion compensation")
 
     ev = sub.add_parser("evaluate", help="relative pose error of est vs gt")
     ev.add_argument("--est", required=True, help="estimated trajectory (12-float lines)")
@@ -100,10 +97,6 @@ def build_run_config(args) -> RunConfig:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         config = replace(config, **{key: coerce_config_value(key, raw)})
-    if args.time_budget_ms is not None:
-        config = replace(config, time_budget_ms=args.time_budget_ms)
-    if args.no_deskew:
-        config = replace(config, deskew=False)
     return config
 
 
@@ -116,10 +109,10 @@ def _write_atomic(path: Path, write) -> None:
 def _run_odometry(args) -> int:
     config = build_run_config(args)
     validate_config(config)
+    # checks the range band and reads times.txt, before anything is written
     source = ScanSource(_FORMAT_KINDS[args.format], args.data,
                         scan_period=config.scan_period,
                         min_range=config.min_range, max_range=config.max_range)
-    source.stamps()  # reject a bad times.txt before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "frames.csv"

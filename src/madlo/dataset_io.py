@@ -57,9 +57,7 @@ def _drop_non_finite(path, points: np.ndarray, times: np.ndarray | None = None):
 
 def filter_range(cloud: PointCloud, min_range, max_range) -> PointCloud:
     """Keep points whose distance from the origin (the sensor) lies in the
-    closed band [min_range, max_range]."""
-    if not 0.0 <= min_range < max_range:
-        raise ValueError(f"invalid range band [{min_range}, {max_range}]")
+    closed band [min_range, max_range], which ``ScanSource`` has checked."""
     r = np.linalg.norm(cloud.points, axis=1)
     keep = (r >= min_range) & (r <= max_range)
     if keep.all():
@@ -315,10 +313,11 @@ def _read_stamps(path: Path) -> list:
 class ScanSource:
     """A directory of scans read in sorted filename order.
 
-    kind is ``kitti_bin_dir`` (``*.bin``) or ``ply_dir`` (``*.ply``). Frame
-    stamps come from a ``times.txt`` next to (or one level above) the scan
-    files, one float per line, strictly increasing over the scans read;
-    otherwise frame k is stamped k * scan_period.
+    kind is ``kitti_bin_dir`` (``*.bin``) or ``ply_dir`` (``*.ply``). The
+    file list and the frame stamps are read once, here, and the range band
+    is checked only here. Stamps come from a ``times.txt`` next to (or one
+    level above) the scan files, one float per line, strictly increasing
+    over the scans read; otherwise frame k is stamped k * scan_period.
     """
 
     kind: str
@@ -327,6 +326,7 @@ class ScanSource:
     min_range: float = 1.0
     max_range: float = 120.0
     files: list = field(init=False, repr=False)
+    stamps: list = field(init=False, repr=False)
 
     _SUFFIX = {"kitti_bin_dir": ".bin", "ply_dir": ".ply"}
 
@@ -342,11 +342,7 @@ class ScanSource:
             raise FileNotFoundError(f"scan directory {self.path} does not exist")
         suffix = self._SUFFIX[self.kind]
         self.files = sorted(p for p in self.path.iterdir() if p.suffix == suffix)
-
-    def __len__(self):
-        return len(self.files)
-
-    def stamps(self) -> list:
+        self.stamps = [k * self.scan_period for k in range(len(self.files))]
         for candidate in (self.path / "times.txt", self.path.parent / "times.txt"):
             if candidate.is_file():
                 stamped = _read_stamps(candidate)[: len(self.files)]
@@ -358,8 +354,11 @@ class ScanSource:
                     if not cur > prev:
                         raise ValueError(f"{candidate}:{lineno}: stamp {cur!r} is not above "
                                          f"the previous stamp {prev!r}")
-                return [value for value, _ in stamped]
-        return [k * self.scan_period for k in range(len(self.files))]
+                self.stamps = [value for value, _ in stamped]
+                break
+
+    def __len__(self):
+        return len(self.files)
 
     def read_scan(self, index: int) -> PointCloud:
         """Scan ``index`` with its points outside the range band dropped."""

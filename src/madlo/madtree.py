@@ -255,3 +255,18 @@ def transform_tree(tree: KdTree, x: Isometry3) -> None:
     tree.normals = tree.normals @ rt
     tree.directions = np.matmul(tree.directions, rt, out=np.empty_like(tree.directions))
 
+
+def stack_trees(trees: "list[KdTree]"):
+    """The trees as one ``KdTree``, and each tree's first node in it: a
+    query that ``descend`` starts there walks that tree (see ``start``)."""
+    first = np.cumsum([0] + [t.num_nodes for t in trees[:-1]])
+    forest = KdTree()
+    # (3, N) rows side by side, transposed: column-major like every tree
+    forest.mus = np.concatenate([t.mus.T for t in trees], axis=1).T
+    forest.directions = np.concatenate([t.directions.T for t in trees], axis=1).T
+    forest.normals = np.concatenate([t.normals for t in trees])
+    forest.valid = np.concatenate([t.valid for t in trees])
+    forest.left = np.concatenate([np.where(t.left >= 0, t.left + f, -1)
+                                  for t, f in zip(trees, first)])
+    forest.depth = max(t.depth for t in trees)
+    return forest, first

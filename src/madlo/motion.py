@@ -13,15 +13,12 @@ so the last-fired point is the anchor and stays put.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import SMALL_ANGLE, Isometry3, PointCloud, exp_se3, log_so3, skew
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,9 @@ def predict_pose(last_pose: Isometry3, vel: VelocityEstimate, dt: float) -> Isom
 def deskew(cloud: PointCloud, vel: VelocityEstimate, scan_period: float) -> PointCloud:
     """Motion-compensate one sweep into its end-of-scan frame.
 
-    Clouds without per-point capture fractions pass through unchanged (with
-    a warning); a point at s = 1 is bitwise unchanged by construction.
+    The cloud must carry per-point capture fractions (``rel_times``); a
+    point at s = 1 is bitwise unchanged by construction.
     """
-    if cloud.rel_times is None:
-        log.warning("deskew skipped: cloud carries no per-point times")
-        return cloud
     # exp(alpha [v, w]) with alpha = (s - 1) T and W = [w]_x, t = |alpha w|:
     # R p + t = p + alpha v + a W p + b (W^2 p + W v) + c W^2 v, where
     # a = alpha sin(t)/t, b = alpha^2 (1 - cos t)/t^2, c = alpha^3 (t - sin t)/t^3

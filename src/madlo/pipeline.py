@@ -28,8 +28,9 @@ FRAME_LOG_HEADER = "frame,t_deskew_ms,t_build_ms,t_icp_ms,t_update_ms,p,det_H,fa
 
 
 def validate_config(config: RunConfig) -> tuple[TreeParams, RegistrationParams]:
-    """Reject parameter values the pipeline cannot run with (raises
-    ValueError); return the tree and registration parameters of the rest."""
+    """Reject values the pipeline reads but cannot run with (raises
+    ValueError); return the tree and registration parameters of the rest.
+    The range band is ``ScanSource``'s to check, and ``threads`` is unread."""
     budget = None if config.time_budget_ms is None else config.time_budget_ms / 1000.0
     params = (TreeParams(b_max=config.b_max, b_min=config.b_min),
               RegistrationParams(b_ratio=config.b_ratio, rho_ker=config.rho_ker,
@@ -38,13 +39,8 @@ def validate_config(config: RunConfig) -> tuple[TreeParams, RegistrationParams]:
         raise ValueError(f"p_th must be in (0, 1], got {config.p_th}")
     if config.n < 2:
         raise ValueError(f"velocity window n must be >= 2, got {config.n}")
-    if config.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {config.threads}")
     if not 0.0 < config.scan_period < np.inf:  # NaN fails too
         raise ValueError(f"scan_period must be positive and finite, got {config.scan_period}")
-    if not 0.0 <= config.min_range < config.max_range:
-        raise ValueError("need 0 <= min_range < max_range, got "
-                         f"{config.min_range}..{config.max_range}")
     return params
 
 
@@ -62,11 +58,6 @@ class FrameOutput:
     t_build_ms: float
     t_icp_ms: float
     t_update_ms: float
-
-    def __post_init__(self):
-        for t in (self.t_deskew_ms, self.t_build_ms, self.t_icp_ms, self.t_update_ms):
-            if t < 0:
-                raise ValueError("timings must be non-negative")
 
     def csv_row(self) -> str:
         return (f"{self.frame},{self.t_deskew_ms:.3f},{self.t_build_ms:.3f},"
@@ -184,13 +175,12 @@ def run_sequence(source: ScanSource, config: RunConfig, on_frame=None):
     """
     state = OdometryState.initial(config)
     outputs = []
-    stamps = source.stamps()
     for k in range(len(source)):
         try:
             cloud = source.read_scan(k)
         except (OSError, ValueError) as err:
             raise SequenceAborted(err, state.trajectory, outputs) from err
-        out = process_frame(state, cloud, stamp=stamps[k])
+        out = process_frame(state, cloud, stamp=source.stamps[k])
         outputs.append(out)
         if on_frame is not None:
             on_frame(out)

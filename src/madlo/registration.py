@@ -25,8 +25,9 @@ is sent down a tree again only once its accumulated motion may have carried
 it across a split plane on its path (cached kd-tree search, Nuechter,
 Lingemann & Hertzberg, 3DIM 2007, made exact). For each query and tree
 the cache keeps the landing leaf's centroid, normal and validity, bit for
-bit those of a full descent. The call stacks the trees (centroid, split direction, normal, validity, offset
-child id: 81 B per node) into one forest. Each pass sends the stale
+bit those of a full descent. The call stacks the trees (centroid, split
+direction, normal, validity, offset child id: 81 B per node) into one
+forest with ``madtree.stack_trees``. Each pass sends the stale
 (tree, query) rows down it with ``KdTree.descend``, each from its own
 tree's root, and gathers their landing data from it; on the first pass
 every row is stale. The cache costs 57 B per query per tree.
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Isometry3, exp_se3
-from .madtree import KdTree
+from .madtree import KdTree, stack_trees
 
 # the solve has converged once an increment moves the pose by less than both:
 # metres of translation and radians of rotation (xi[:3] and xi[3:])
@@ -175,22 +176,6 @@ def _accumulate(wq: np.ndarray, radii: np.ndarray, mu_l: np.ndarray, n_l: np.nda
     return h, b, acc, cost
 
 
-def _stack_forest(model: "list[KdTree]"):
-    """The trees as one ``KdTree`` holding what the walk and the cache read,
-    and each tree's first node in it: a query started there walks that tree."""
-    first = np.cumsum([0] + [t.num_nodes for t in model[:-1]])
-    forest = KdTree()
-    # (3, N) rows side by side, transposed: column-major like every tree
-    forest.mus = np.concatenate([t.mus.T for t in model], axis=1).T
-    forest.directions = np.concatenate([t.directions.T for t in model], axis=1).T
-    forest.normals = np.concatenate([t.normals for t in model])
-    forest.valid = np.concatenate([t.valid for t in model])
-    forest.left = np.concatenate([np.where(t.left >= 0, t.left + f, -1)
-                                  for t, f in zip(model, first)])
-    forest.depth = max(t.depth for t in model)
-    return forest, first
-
-
 class _LeafCache:
     """What every query found in each model tree, kept for one ``icp`` call.
 
@@ -208,7 +193,7 @@ class _LeafCache:
     """
 
     def __init__(self, model: "list[KdTree]"):
-        self.forest, self.first = _stack_forest(model)
+        self.forest, self.first = stack_trees(model)
         # the largest |coordinate| of any node centroid in the forest
         mus = self.forest.mus
         self.mu_scale = max(float(mus.max()), -float(mus.min()))

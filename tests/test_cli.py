@@ -12,6 +12,7 @@ import pytest
 from scanfiles import write_kitti_bin, write_ply
 from worldsim import big_room_panels, scan_cloud
 
+from madlo import dataset_io
 from madlo.cli import MAX_LENGTHS, build_run_config, main, parse_lengths
 from madlo.dataset_io import RunConfig, ScanSource, write_trajectory_kitti
 from madlo.geometry import Isometry3, exp_se3
@@ -50,7 +51,7 @@ def test_odometry_smoke(tmp_path, capsys):
     scans = write_room_scans(tmp_path)
     out = tmp_path / "out"
     code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 "--no-deskew"])
+                 "--set", "deskew=off"])
     assert code == 0
     traj_lines = (out / "trajectory.txt").read_text().strip().splitlines()
     assert len(traj_lines) == 3
@@ -71,7 +72,7 @@ def test_odometry_writes_what_run_sequence_gives(tmp_path, deskew):
     scans = write_room_scans(tmp_path, n_frames=5)
     out = tmp_path / "out"
     code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 *([] if deskew else ["--no-deskew"])])
+                 *([] if deskew else ["--set", "deskew=off"])])
     assert code == 0
     config = RunConfig(deskew=deskew)
     trajectory, outputs = run_sequence(ScanSource("kitti_bin_dir", scans), config)
@@ -86,7 +87,8 @@ def test_odometry_writes_what_run_sequence_gives(tmp_path, deskew):
 
 def test_unknown_flag_exits_1_and_writes_nothing(tmp_path):
     out = tmp_path / "out"
-    for flag in (["--bogus"], ["--threads", "2"]):
+    # the config keys have no flags of their own: --set deskew=off, --set time_budget_ms=5
+    for flag in (["--bogus"], ["--threads", "2"], ["--no-deskew"], ["--time-budget-ms", "5"]):
         code = main(["odometry", "--data", str(tmp_path), "--out", str(out), *flag])
         assert code == 1, flag
         assert not out.exists(), flag
@@ -99,7 +101,6 @@ def test_bad_parameter_value_exits_1_and_writes_nothing(tmp_path, capsys):
         "b_max=-1", "p_th=0", "min_range=200", "n=1", "b_ratio=nan", "rho_ker=nan",
         "scan_period=nan", "time_budget_ms=nan", "time_budget_ms=0", "time_budget_ms=-5",
         "b_max=inf", "scan_period=inf")]
-    bad_args += [["--time-budget-ms", "nan"], ["--time-budget-ms", "0"]]
     for bad in bad_args:
         code = main(["odometry", "--data", str(scans), "--out", str(out), *bad])
         assert code == 1, bad
@@ -131,7 +132,7 @@ def test_aborted_run_exits_2_with_partial_outputs(tmp_path):
         (scans / name).write_bytes(data)
         out = tmp_path / fmt / "out"
         code = main(["odometry", "--data", str(scans), "--out", str(out),
-                     "--format", fmt, "--no-deskew"])
+                     "--format", fmt, "--set", "deskew=off"])
         assert code == 2
         assert len((out / "trajectory.txt").read_text().strip().splitlines()) == 1
         assert len((out / "frames.csv").read_text().strip().splitlines()) == 2
@@ -144,7 +145,7 @@ def test_non_finite_point_is_dropped_and_run_completes(tmp_path):
     raw.tofile(scans / "000002.bin")
     out = tmp_path / "out"
     code = main(["odometry", "--data", str(scans), "--out", str(out),
-                 "--no-deskew"])
+                 "--set", "deskew=off"])
     assert code == 0
     assert len((out / "trajectory.txt").read_text().strip().splitlines()) == 3
     assert len((out / "frames.csv").read_text().strip().splitlines()) == 4
@@ -156,10 +157,24 @@ def test_non_increasing_stamps_exit_1_and_write_nothing(tmp_path, capsys):
     for text in ("0.0\n0.1\n0.1\n", "0.0\n0.1\ninf\n", "0.0\n0.1\nabc\n"):
         (scans / "times.txt").write_text(text)
         code = main(["odometry", "--data", str(scans), "--out", str(out),
-                     "--no-deskew"])
+                     "--set", "deskew=off"])
         assert code == 1
         assert not out.exists()
         assert "times.txt:3" in capsys.readouterr().err
+
+
+def test_odometry_reads_times_file_once(tmp_path, monkeypatch):
+    scans = write_room_scans(tmp_path)
+    (scans / "times.txt").write_text("0.0\n0.1\n0.2\n")
+    read_stamps, calls = dataset_io._read_stamps, []
+
+    def counted(path):
+        calls.append(path)
+        return read_stamps(path)
+
+    monkeypatch.setattr(dataset_io, "_read_stamps", counted)
+    assert main(["odometry", "--data", str(scans), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [scans / "times.txt"]
 
 
 # -------------------------------------------------------------- evaluate
@@ -259,9 +274,9 @@ def test_evaluate_unbounded_lengths_exit_1_and_write_nothing(tmp_path, capsys, s
 
 def test_build_config_precedence(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("b_max = 0.5\nthreads = 2\n")
-    args = argparse.Namespace(config=str(cfg_file), set=["b_max=0.3", "n=4"],
-                              time_budget_ms=12.5, no_deskew=True)
+    cfg_file.write_text("b_max = 0.5\nthreads = 2\ntime_budget_ms = 40\ndeskew = on\n")
+    args = argparse.Namespace(config=str(cfg_file), set=[
+        "b_max=0.3", "n=4", "time_budget_ms=12.5", "deskew=off"])
     cfg = build_run_config(args)
     assert cfg.b_max == 0.3      # --set beats the file
     assert cfg.n == 4
@@ -272,8 +287,7 @@ def test_build_config_precedence(tmp_path):
 
 
 def test_build_config_rejects_bad_set():
-    args = argparse.Namespace(config=None, set=["b_max"], time_budget_ms=None,
-                              no_deskew=False)
+    args = argparse.Namespace(config=None, set=["b_max"])
     with pytest.raises(ValueError):
         build_run_config(args)
     # a bad value names its key

@@ -96,11 +96,6 @@ def test_filter_range_keeps_rel_times_aligned():
     assert np.array_equal(out.rel_times, [0.5])
 
 
-def test_filter_range_validates_band():
-    with pytest.raises(ValueError):
-        filter_range(PointCloud(np.ones((1, 3))), 5.0, 2.0)
-
-
 # ---------------------------------------------------------- time synthesis
 
 
@@ -410,14 +405,14 @@ def test_scan_source_sorted_listing_and_default_stamps(tmp_path):
     src = ScanSource("kitti_bin_dir", tmp_path, scan_period=0.1)
     assert [p.name for p in src.files] == ["000000.bin", "000001.bin", "000002.bin"]
     assert len(src) == 3
-    assert src.stamps() == [0.0, 0.1, 0.2]
+    assert src.stamps == [0.0, 0.1, 0.2]
 
 
 def test_scan_source_uses_times_file(tmp_path):
     for k in range(2):
         write_kitti_bin(tmp_path / f"{k:06d}.bin", PointCloud(np.full((1, 3), 5.0)))
     (tmp_path / "times.txt").write_text("0.0\n0.1037\n")
-    assert ScanSource("kitti_bin_dir", tmp_path).stamps() == [0.0, 0.1037]
+    assert ScanSource("kitti_bin_dir", tmp_path).stamps == [0.0, 0.1037]
 
 
 def test_scan_source_rejects_short_times_file(tmp_path):
@@ -425,7 +420,7 @@ def test_scan_source_rejects_short_times_file(tmp_path):
         write_kitti_bin(tmp_path / f"{k:06d}.bin", PointCloud(np.full((1, 3), 5.0)))
     (tmp_path / "times.txt").write_text("0.0\n")
     with pytest.raises(ValueError):
-        ScanSource("kitti_bin_dir", tmp_path).stamps()
+        ScanSource("kitti_bin_dir", tmp_path)
 
 
 def test_scan_source_rejects_non_increasing_times_file(tmp_path):
@@ -435,7 +430,7 @@ def test_scan_source_rejects_non_increasing_times_file(tmp_path):
                  "0.0\n0.1\ninf\n", "0.0\n0.1\nabc\n"):
         (tmp_path / "times.txt").write_text(text)
         with pytest.raises(ValueError, match=r"times\.txt:3"):
-            ScanSource("kitti_bin_dir", tmp_path).stamps()
+            ScanSource("kitti_bin_dir", tmp_path)
 
 
 def test_scan_source_reads_and_filters(tmp_path):
@@ -461,8 +456,10 @@ def test_scan_source_validation(tmp_path):
         ScanSource("pcap_dir", tmp_path)
     with pytest.raises(FileNotFoundError):
         ScanSource("kitti_bin_dir", tmp_path / "missing")
-    with pytest.raises(ValueError):
-        ScanSource("kitti_bin_dir", tmp_path, min_range=10.0, max_range=1.0)
+    nan = float("nan")
+    for lo, hi in ((10.0, 1.0), (-1.0, 120.0), (nan, 120.0), (1.0, nan)):
+        with pytest.raises(ValueError):
+            ScanSource("kitti_bin_dir", tmp_path, min_range=lo, max_range=hi)
     for period in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ScanSource("kitti_bin_dir", tmp_path, scan_period=period)

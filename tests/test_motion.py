@@ -131,14 +131,6 @@ def test_deskew_zero_velocity_is_bitwise_noop():
     assert np.array_equal(out.points, cloud.points)
 
 
-def test_deskew_without_rel_times_warns_and_passes_through(caplog):
-    cloud = PointCloud(np.zeros((5, 3)))
-    with caplog.at_level("WARNING", logger="madlo.motion"):
-        out = deskew(cloud, VelocityEstimate(np.ones(3), np.zeros(3)), 0.1)
-    assert out is cloud
-    assert any("deskew" in r.message for r in caplog.records)
-
-
 def test_deskew_anchor_point_unchanged():
     cloud = PointCloud(np.array([[3.0, -1.0, 2.0]]), rel_times=np.array([1.0]))
     vel = VelocityEstimate(np.array([5.0, 1.0, -2.0]), np.array([0.4, 0.1, -0.8]))

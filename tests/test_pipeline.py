@@ -41,8 +41,7 @@ def test_validate_config_rejects_unusable_values():
     validate_config(config())
     nan = float("nan")
     bad = [dict(b_max=-1.0), dict(b_min=0.3), dict(b_ratio=0.0), dict(rho_ker=-0.1),
-           dict(p_th=0.0), dict(p_th=1.5), dict(n=1), dict(threads=0),
-           dict(scan_period=0.0), dict(min_range=200.0), dict(min_range=-1.0),
+           dict(p_th=0.0), dict(p_th=1.5), dict(n=1), dict(scan_period=0.0),
            dict(max_iterations=0), dict(b_ratio=nan), dict(rho_ker=nan),
            dict(scan_period=nan), dict(time_budget_ms=nan), dict(time_budget_ms=0.0),
            dict(time_budget_ms=-5.0), dict(b_max=float("inf")),

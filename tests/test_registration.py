@@ -14,7 +14,6 @@ from madlo.registration import (
     RegistrationParams,
     _accumulate,
     _LeafCache,
-    _stack_forest,
     associate,
     gate_radius,
     huber_weight,
@@ -212,41 +211,6 @@ def test_accumulate_matches_per_row_fsum_oracle():
 
 
 # ------------------------------------------------------ forest and cache
-
-
-def test_descend_from_start_nodes_walks_each_stacked_tree():
-    """Trees of different depth, a one-leaf tree among them: a query started
-    at a tree's first node lands at that tree's own leaf plus the offset,
-    with the same margin bit for bit."""
-    rng = np.random.default_rng(66)
-    model = [build_tree(room_cloud(rng, 3000, size=20.0)),
-             build_tree(np.array([[1.0, 2.0, 3.0], [1.1, 2.0, 3.0]])),
-             build_tree(room_cloud(rng, 300, size=20.0)),
-             build_tree(room_cloud(rng, 8000, size=40.0))]
-    assert model[1].depth == 0 and len({t.depth for t in model}) == 4
-    forest, first = _stack_forest(model)
-    assert forest.depth == max(t.depth for t in model)
-    assert list(first) == list(np.cumsum([0] + [t.num_nodes for t in model[:-1]]))
-    wq = rng.uniform(-1.0, 41.0, size=(500, 3))
-    tree_of = rng.integers(len(model), size=len(wq))
-    margin = np.empty(len(wq))
-    got = forest.descend(wq, margin, first[tree_of])
-    for t, tree in enumerate(model):
-        rows = tree_of == t
-        want_margin = np.empty(int(rows.sum()))
-        want = tree.descend(wq[rows], want_margin)
-        assert np.array_equal(got[rows], want + first[t])
-        assert margin[rows].tobytes() == want_margin.tobytes()
-    assert (margin[tree_of == 1] == np.inf).all()
-    assert np.array_equal(forest.descend(wq, start=first[0]), model[0].descend(wq))
-    for t, tree in enumerate(model):
-        nodes = slice(first[t], first[t] + tree.num_nodes)
-        assert forest.normals[nodes].tobytes() == tree.normals.tobytes()
-        assert np.array_equal(forest.valid[nodes], tree.valid)
-    assert len(forest.normals) == len(forest.valid) == len(forest.left)
-    # its leaves are the trees' leaves, tree after tree
-    assert np.array_equal(forest.leaf_ids,
-                          np.concatenate([t.leaf_ids + f for t, f in zip(model, first)]))
 
 
 def assert_cache_is_full_descent(cache, model, wq):
