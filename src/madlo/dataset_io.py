@@ -294,9 +294,9 @@ def parse_config(path) -> RunConfig:
 
 
 def _read_stamps(path: Path) -> list:
-    """(stamp, line number) for every token of a times file; each must be a
-    finite number."""
-    stamped = []
+    """Every whitespace-separated token of a times file as a float; each must
+    be finite and above the one before it."""
+    stamps = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         for tok in line.split():
             try:
@@ -305,8 +305,11 @@ def _read_stamps(path: Path) -> list:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: stamp {tok!r} is not a finite number")
-            stamped.append((value, lineno))
-    return stamped
+            if stamps and not value > stamps[-1]:
+                raise ValueError(f"{path}:{lineno}: stamp {value!r} is not above "
+                                 f"the previous stamp {stamps[-1]!r}")
+            stamps.append(value)
+    return stamps
 
 
 @dataclass
@@ -316,8 +319,10 @@ class ScanSource:
     kind is ``kitti_bin_dir`` (``*.bin``) or ``ply_dir`` (``*.ply``). The
     file list and the frame stamps are read once, here, and the range band
     is checked only here. Stamps come from a ``times.txt`` next to (or one
-    level above) the scan files, one float per line, strictly increasing
-    over the scans read; otherwise frame k is stamped k * scan_period.
+    level above) the scan files: whitespace-separated numbers, each finite
+    and strictly above the one before it, at least as many as there are
+    scans, the first of which stamp the scans in order. With no such file,
+    frame k is stamped k * scan_period.
     """
 
     kind: str
@@ -345,16 +350,12 @@ class ScanSource:
         self.stamps = [k * self.scan_period for k in range(len(self.files))]
         for candidate in (self.path / "times.txt", self.path.parent / "times.txt"):
             if candidate.is_file():
-                stamped = _read_stamps(candidate)[: len(self.files)]
-                if len(stamped) < len(self.files):
+                stamps = _read_stamps(candidate)
+                if len(stamps) < len(self.files):
                     raise ValueError(
-                        f"{candidate}: {len(stamped)} stamps for {len(self.files)} scans"
+                        f"{candidate}: {len(stamps)} stamps for {len(self.files)} scans"
                     )
-                for (prev, _), (cur, lineno) in zip(stamped, stamped[1:]):
-                    if not cur > prev:
-                        raise ValueError(f"{candidate}:{lineno}: stamp {cur!r} is not above "
-                                         f"the previous stamp {prev!r}")
-                self.stamps = [value for value, _ in stamped]
+                self.stamps = stamps[: len(self.files)]
                 break
 
     def __len__(self):

@@ -32,17 +32,25 @@ def _vee(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def exp_so3(theta: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: axis-angle vector to rotation matrix.
+def so3_series(t):
+    """The coefficients of the SO(3)/SE(3) exponential at angles ``t``.
 
-    R = I + sin(t)/t [theta]_x + (1 - cos(t))/t^2 [theta]_x^2,  t = ||theta||
+    Elementwise (sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3); below
+    SMALL_ANGLE their limits (1, 1/2, 1/6), so t = 0 never divides.
     """
-    theta = np.asarray(theta, dtype=float)
-    t = float(np.linalg.norm(theta))
-    w = skew(theta)
-    if t < SMALL_ANGLE:
-        return np.eye(3) + w + 0.5 * (w @ w)
-    return np.eye(3) + (np.sin(t) / t) * w + ((1.0 - np.cos(t)) / (t * t)) * (w @ w)
+    t = np.asarray(t, dtype=float)
+    small = t < SMALL_ANGLE
+    ts = np.where(small, 1.0, t)  # avoid 0/0; overwritten below for small angles
+    sin, t2 = np.sin(ts), ts * ts
+    return (np.where(small, 1.0, sin / ts),
+            np.where(small, 0.5, (1.0 - np.cos(ts)) / t2),
+            np.where(small, 1.0 / 6.0, (ts - sin) / (t2 * ts)))
+
+
+def exp_so3(theta: np.ndarray) -> np.ndarray:
+    """Rodrigues formula: axis-angle vector to rotation matrix, the rotation
+    block of ``exp_se3``."""
+    return exp_se3(np.concatenate([np.zeros(3), theta])).rotation
 
 
 def _check_rotation(r: np.ndarray) -> None:
@@ -113,7 +121,7 @@ class Isometry3:
         m[:3, 3] = self.translation
         return m
 
-    def compose(self, other: "Isometry3") -> "Isometry3":
+    def __matmul__(self, other: "Isometry3") -> "Isometry3":
         r = self.rotation @ other.rotation
         t = self.rotation @ other.translation + self.translation
         age = self._age + other._age + 1
@@ -122,9 +130,6 @@ class Isometry3:
             r = u @ vt
             age = 0
         return Isometry3(r, t, _age=age, _trusted=True)
-
-    def __matmul__(self, other: "Isometry3") -> "Isometry3":
-        return self.compose(other)
 
     def inverse(self) -> "Isometry3":
         rt = self.rotation.T
@@ -141,23 +146,19 @@ class Isometry3:
         return f"Isometry3(t={np.array2string(self.translation, precision=4)})"
 
 
-def _v_matrix(theta: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3): t of exp_se3 is V(theta) @ rho."""
-    t = float(np.linalg.norm(theta))
-    w = skew(theta)
-    if t < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * w + (w @ w) / 6.0
-    a = (1.0 - np.cos(t)) / (t * t)
-    b = (t - np.sin(t)) / (t * t * t)
-    return np.eye(3) + a * w + b * (w @ w)
-
-
 def exp_se3(xi) -> Isometry3:
-    """Twist to rigid transform: R = exp(theta), t = V(theta) @ rho."""
+    """Twist (rho, theta) to rigid transform R, V rho, where W = [theta]_x,
+    (a, b, c) = so3_series(|theta|) and
+
+    R = I + a W + b W^2,   V = I + b W + c W^2
+    """
     v = np.asarray(xi, dtype=float).reshape(6)
     rho, theta = v[:3], v[3:]
-    r = exp_so3(theta)
-    return Isometry3(r, _v_matrix(theta) @ rho, _trusted=True)
+    a, b, c = so3_series(np.linalg.norm(theta))
+    w = skew(theta)
+    ww = w @ w
+    r = np.eye(3) + a * w + b * ww
+    return Isometry3(r, (np.eye(3) + b * w + c * ww) @ rho, _trusted=True)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .dataset_io import RunConfig, ScanSource, synthesize_rel_times
 from .geometry import Isometry3, PointCloud
 from .localmap import Keyframe, LocalMap
 from .madtree import TreeParams, build_tree, transform_tree
-from .motion import StampedPose, VelocityEstimate, deskew, estimate_velocity, predict_pose
+from .motion import StampedPose, deskew, estimate_velocity, predict_pose
 from .registration import DegenerateRegistrationError, RegistrationParams, icp
 
 log = logging.getLogger(__name__)
@@ -75,7 +75,7 @@ class OdometryState:
     reg_params: RegistrationParams
     local_map: LocalMap
     trajectory: list = field(default_factory=list)
-    velocity: VelocityEstimate = field(default_factory=VelocityEstimate.zero)
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(6))  # body twist [v, omega]
 
     @property
     def frame_index(self) -> int:
@@ -126,8 +126,7 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
         log.warning("frame %d: empty cloud, adopting predicted pose", k)
     else:
         # a zero twist (the first two frames) would only copy the cloud
-        moving = state.velocity.v.any() or state.velocity.omega.any()
-        if state.config.deskew and moving:
+        if state.config.deskew and state.velocity.any():
             if cloud.rel_times is None:
                 cloud = synthesize_rel_times(cloud)
             cloud = deskew(cloud, state.velocity, state.config.scan_period)

@@ -154,13 +154,14 @@ def test_non_finite_point_is_dropped_and_run_completes(tmp_path):
 def test_non_increasing_stamps_exit_1_and_write_nothing(tmp_path, capsys):
     scans = write_room_scans(tmp_path)
     out = tmp_path / "out"
-    for text in ("0.0\n0.1\n0.1\n", "0.0\n0.1\ninf\n", "0.0\n0.1\nabc\n"):
+    for text, line in (("0.0\n0.1\n0.1\n", 3), ("0.0\n0.1\ninf\n", 3), ("0.0\n0.1\nabc\n", 3),
+                       ("0.0\n0.1\n0.2\n0.15\n", 4)):
         (scans / "times.txt").write_text(text)
         code = main(["odometry", "--data", str(scans), "--out", str(out),
                      "--set", "deskew=off"])
         assert code == 1
         assert not out.exists()
-        assert "times.txt:3" in capsys.readouterr().err
+        assert f"times.txt:{line}" in capsys.readouterr().err
 
 
 def test_odometry_reads_times_file_once(tmp_path, monkeypatch):

@@ -426,11 +426,20 @@ def test_scan_source_rejects_short_times_file(tmp_path):
 def test_scan_source_rejects_non_increasing_times_file(tmp_path):
     for k in range(3):
         write_kitti_bin(tmp_path / f"{k:06d}.bin", PointCloud(np.full((1, 3), 5.0)))
-    for text in ("0.0\n0.1\n0.1\n", "0.0\n0.2\n0.1\n", "0.0\n0.1\nnan\n",
-                 "0.0\n0.1\ninf\n", "0.0\n0.1\nabc\n"):
+    # a stamp past the last scan is checked like the others
+    for text, line in (("0.0\n0.1\n0.1\n", 3), ("0.0\n0.2\n0.1\n", 3), ("0.0\n0.1\nnan\n", 3),
+                       ("0.0\n0.1\ninf\n", 3), ("0.0\n0.1\nabc\n", 3),
+                       ("0.0\n0.1\n0.2\n0.15\n", 4)):
         (tmp_path / "times.txt").write_text(text)
-        with pytest.raises(ValueError, match=r"times\.txt:3"):
+        with pytest.raises(ValueError, match=rf"times\.txt:{line}"):
             ScanSource("kitti_bin_dir", tmp_path)
+
+
+def test_scan_source_cuts_times_file_to_the_scans(tmp_path):
+    for k in range(3):
+        write_kitti_bin(tmp_path / f"{k:06d}.bin", PointCloud(np.full((1, 3), 5.0)))
+    (tmp_path / "times.txt").write_text("0.0 0.1\n0.2\n0.3\n")
+    assert ScanSource("kitti_bin_dir", tmp_path).stamps == [0.0, 0.1, 0.2]
 
 
 def test_scan_source_reads_and_filters(tmp_path):

@@ -6,10 +6,13 @@ numeric quadrature of the rotation integral.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from madlo.geometry import (
+    SMALL_ANGLE,
     Isometry3,
     PointCloud,
     eig_sym3,
@@ -17,6 +20,7 @@ from madlo.geometry import (
     exp_so3,
     log_so3,
     skew,
+    so3_series,
 )
 
 
@@ -117,6 +121,37 @@ def test_exp_se3_translation_matches_quadrature_oracle():
         t = exp_se3(np.concatenate([rho, theta])).translation
         t_oracle = v_matrix_quadrature(theta) @ rho
         assert np.abs(t - t_oracle).max() < 1e-9
+    # below SMALL_ANGLE, where so3_series gives its limits, a long rho is
+    # still turned by 0.5 [theta]_x rho, far above the tolerance
+    for scale in (0.1, 0.9):
+        rho = rng.normal(size=3) * 1e3
+        theta = rng.normal(size=3)
+        theta *= scale * SMALL_ANGLE / np.linalg.norm(theta)
+        t = exp_se3(np.concatenate([rho, theta])).translation
+        t_oracle = v_matrix_quadrature(theta) @ rho
+        assert np.abs(t - t_oracle).max() < 1e-9
+        assert np.abs(t - rho).max() > 1e-7
+
+
+def test_so3_series_small_angles_give_the_limits_exactly():
+    for t in (0.0, 1e-300, 1e-12, 0.5 * SMALL_ANGLE, np.nextafter(SMALL_ANGLE, 0.0)):
+        assert tuple(float(c) for c in so3_series(t)) == (1.0, 0.5, 1.0 / 6.0)
+
+
+def test_so3_series_matches_scalar_closed_forms():
+    for t in np.concatenate([np.geomspace(1e-3, np.pi, 200), np.linspace(1e-3, np.pi, 200)]):
+        t = float(t)
+        want = (math.sin(t) / t, (1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / (t * t * t))
+        for got, ref in zip(so3_series(t), want):
+            assert abs(float(got) - ref) <= 1e-15 * abs(ref)
+
+
+def test_so3_series_array_equals_elementwise_calls():
+    t = np.array([0.0, 3.0, 0.5 * SMALL_ANGLE, 1e-3, SMALL_ANGLE, 2.0 * SMALL_ANGLE, np.pi])
+    got = so3_series(t)
+    for i, ti in enumerate(t):
+        for column, scalar in zip(got, so3_series(ti)):
+            assert column[i].tobytes() == scalar.tobytes()
 
 
 def test_log_so3_identity_is_zero():
