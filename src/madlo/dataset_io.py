@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Isometry3, PointCloud
+from .madtree import TreeParams
 from .motion import StampedPose
+from .registration import RegistrationParams
 
 log = logging.getLogger(__name__)
 
@@ -236,15 +238,15 @@ def read_trajectory_kitti(path) -> list:
 class RunConfig:
     """Flat run parameters, file format ``key = value`` one per line."""
 
-    b_max: float = 0.2
-    b_min: float = 0.1
-    b_ratio: float = 0.02
+    b_max: float = TreeParams.b_max
+    b_min: float = TreeParams.b_min
+    b_ratio: float = RegistrationParams.b_ratio
     p_th: float = 0.8
-    rho_ker: float = 0.1
+    rho_ker: float = RegistrationParams.rho_ker
     n: int = 10
     threads: int = 1  # accepted and ignored: registration runs on one thread
-    max_iterations: int = 15
-    time_budget_ms: float | None = None
+    max_iterations: int = RegistrationParams.max_iterations
+    time_budget_ms: float | None = RegistrationParams.time_budget_ms
     min_range: float = 1.0
     max_range: float = 120.0
     scan_period: float = 0.1
@@ -327,9 +329,9 @@ class ScanSource:
 
     kind: str
     path: Path
-    scan_period: float = 0.1
-    min_range: float = 1.0
-    max_range: float = 120.0
+    scan_period: float = RunConfig.scan_period
+    min_range: float = RunConfig.min_range
+    max_range: float = RunConfig.max_range
     files: list = field(init=False, repr=False)
     stamps: list = field(init=False, repr=False)
 

@@ -47,12 +47,6 @@ def so3_series(t):
             np.where(small, 1.0 / 6.0, (ts - sin) / (t2 * ts)))
 
 
-def exp_so3(theta: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: axis-angle vector to rotation matrix, the rotation
-    block of ``exp_se3``."""
-    return exp_se3(np.concatenate([np.zeros(3), theta])).rotation
-
-
 def _check_rotation(r: np.ndarray) -> None:
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")

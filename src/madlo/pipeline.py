@@ -31,10 +31,10 @@ def validate_config(config: RunConfig) -> tuple[TreeParams, RegistrationParams]:
     """Reject values the pipeline reads but cannot run with (raises
     ValueError); return the tree and registration parameters of the rest.
     The range band is ``ScanSource``'s to check, and ``threads`` is unread."""
-    budget = None if config.time_budget_ms is None else config.time_budget_ms / 1000.0
     params = (TreeParams(b_max=config.b_max, b_min=config.b_min),
               RegistrationParams(b_ratio=config.b_ratio, rho_ker=config.rho_ker,
-                                 max_iterations=config.max_iterations, time_budget=budget))
+                                 max_iterations=config.max_iterations,
+                                 time_budget_ms=config.time_budget_ms))
     if not 0.0 < config.p_th <= 1.0:
         raise ValueError(f"p_th must be in (0, 1], got {config.p_th}")
     if config.n < 2:
@@ -99,8 +99,8 @@ class SequenceAborted(RuntimeError):
         self.outputs = outputs
 
 
-def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameOutput:
-    """Advance the odometry by one scan; always yields a pose.
+def process_frame(state: OdometryState, cloud: PointCloud, stamp: float) -> FrameOutput:
+    """Advance the odometry by one scan taken at ``stamp``; always yields a pose.
 
     Every frame ends the same way: one pose appended, the velocity refit and
     one record built. An empty cloud keeps the prediction and is flagged.
@@ -108,8 +108,6 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp=None) -> FrameO
     before the state changes.
     """
     k = state.frame_index
-    if stamp is None:
-        stamp = k * state.config.scan_period
     last = state.trajectory[-1].stamp if state.trajectory else -np.inf
     if not last < stamp < np.inf:  # NaN fails too
         raise ValueError(f"frame {k}: stamp {stamp!r} must be finite and above "

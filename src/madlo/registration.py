@@ -78,13 +78,13 @@ class RegistrationParams:
     b_ratio: float = 0.02        # gate growth per meter of range
     rho_ker: float = 0.1         # Huber kernel width, meters
     max_iterations: int = 15
-    time_budget: float | None = None  # seconds, anytime cutoff
+    time_budget_ms: float | None = None  # anytime cutoff
 
     def __post_init__(self):
-        if not (self.b_ratio > 0.0 and self.rho_ker > 0.0):  # NaN fails too
-            raise ValueError("b_ratio and rho_ker must be positive")
-        if self.time_budget is not None and not self.time_budget > 0.0:
-            raise ValueError("time_budget must be positive")
+        if not (0.0 < self.b_ratio < np.inf and 0.0 < self.rho_ker < np.inf):  # NaN fails too
+            raise ValueError("b_ratio and rho_ker must be positive and finite")
+        if self.time_budget_ms is not None and not self.time_budget_ms > 0.0:
+            raise ValueError("time_budget_ms must be positive")
         if (isinstance(self.max_iterations, bool)
                 or not isinstance(self.max_iterations, (int, np.integer))
                 or self.max_iterations < 1):
@@ -263,7 +263,8 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
         if iterations >= params.max_iterations:
             reason = "iteration_cap"
             break
-        if params.time_budget is not None and time.perf_counter() - start >= params.time_budget:
+        if (params.time_budget_ms is not None
+                and (time.perf_counter() - start) * 1e3 >= params.time_budget_ms):
             reason = "time_budget"
             break
 

@@ -28,7 +28,7 @@ from worldsim import (
 
 from madlo.dataset_io import PointCloud, RunConfig, ScanSource, read_trajectory_kitti
 from madlo.evaluation import RpeConfig, compute_rpe, cumulative_curve
-from madlo.geometry import Isometry3, exp_se3, exp_so3
+from madlo.geometry import Isometry3, exp_se3
 from madlo.madtree import build_tree, transform_tree
 from madlo.motion import StampedPose, deskew, estimate_velocity
 from madlo.pipeline import OdometryState, process_frame
@@ -97,7 +97,7 @@ def random_cloud(rng) -> np.ndarray:
     if kind == 1:
         slab = rng.uniform(0.0, 1.0, (n, 3)) * np.array(
             [30.0, 30.0, rng.uniform(0.001, 0.3)])
-        return slab @ exp_so3(rng.normal(size=3)).T
+        return slab @ exp_se3(np.r_[0.0, 0.0, 0.0, rng.normal(size=3)]).rotation.T
     centers = rng.uniform(0.0, 30.0, (rng.integers(2, 8), 3))
     return (centers[rng.integers(len(centers), size=n)]
             + rng.normal(scale=rng.uniform(0.05, 2.0), size=(n, 3)))
@@ -237,7 +237,7 @@ def test_criterion_06_velocity_estimator_exact(report):
     history = []
     for t in stamps[:-1]:
         dt = stamps[-1] - t
-        rel = Isometry3(exp_so3(dt * w), dt * v)
+        rel = Isometry3(exp_se3(np.r_[0.0, 0.0, 0.0, dt * w]).rotation, dt * v)
         history.append(StampedPose(last @ rel.inverse(), t))
     history.append(StampedPose(last, stamps[-1]))
     vel = estimate_velocity(history)
@@ -263,7 +263,7 @@ def test_criterion_08_thread_count_determinism(report):
         state = OdometryState.initial(RunConfig(deskew=False, threads=threads))
         for k in range(100):
             pose = Isometry3(np.eye(3), np.array([2.0 + 0.15 * k, 0.0, 1.5]))
-            process_frame(state, scan_cloud(rng, panels, pose, n=1500))
+            process_frame(state, scan_cloud(rng, panels, pose, n=1500), stamp=0.1 * k)
         return state.trajectory
 
     one = run(1)
@@ -338,7 +338,7 @@ def test_criterion_10_degenerate_burst_robustness(report):
             cloud = PointCloud(sensor.inverse().apply(pts))
         else:
             cloud = room_scan
-        flags.append(process_frame(state, cloud).fallback)
+        flags.append(process_frame(state, cloud, stamp=0.1 * k).fallback)
     expected = [k in burst for k in range(500)]
     report(10, len(state.trajectory) == 500 and flags == expected,
            f"500 frames with a 20-frame single-plane burst: full-length "

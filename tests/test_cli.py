@@ -100,7 +100,7 @@ def test_bad_parameter_value_exits_1_and_writes_nothing(tmp_path, capsys):
     bad_args = [["--set", value] for value in (
         "b_max=-1", "p_th=0", "min_range=200", "n=1", "b_ratio=nan", "rho_ker=nan",
         "scan_period=nan", "time_budget_ms=nan", "time_budget_ms=0", "time_budget_ms=-5",
-        "b_max=inf", "scan_period=inf")]
+        "b_max=inf", "scan_period=inf", "b_ratio=inf", "rho_ker=inf")]
     for bad in bad_args:
         code = main(["odometry", "--data", str(scans), "--out", str(out), *bad])
         assert code == 1, bad

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 import struct
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from madlo.dataset_io import (
     write_trajectory_kitti,
 )
 from madlo.geometry import Isometry3, PointCloud, exp_se3
+from madlo.madtree import TreeParams
 from madlo.motion import StampedPose
+from madlo.registration import RegistrationParams
 
 
 def random_trajectory(rng, n, step=0.1):
@@ -350,6 +353,14 @@ def test_config_defaults():
     assert cfg.time_budget_ms is None
     assert (cfg.min_range, cfg.max_range, cfg.scan_period) == (1.0, 120.0, 0.1)
     assert cfg.deskew is True
+    # the run defaults are the layers' own: a literal re-added in one place fails
+    assert TreeParams(cfg.b_max, cfg.b_min) == TreeParams()
+    assert RegistrationParams(cfg.b_ratio, cfg.rho_ker, cfg.max_iterations,
+                              cfg.time_budget_ms) == RegistrationParams()
+    source_defaults = {f.name: f.default for f in fields(ScanSource) if f.init}
+    assert source_defaults == {"kind": MISSING, "path": MISSING,
+                               "scan_period": cfg.scan_period, "min_range": cfg.min_range,
+                               "max_range": cfg.max_range}
 
 
 def test_config_file_parsing(tmp_path):

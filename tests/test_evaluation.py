@@ -11,7 +11,7 @@ from madlo.evaluation import (
     curve_csv,
     rpe_report_csv,
 )
-from madlo.geometry import Isometry3, exp_se3, exp_so3
+from madlo.geometry import Isometry3, exp_se3
 from madlo.motion import StampedPose
 
 
@@ -109,7 +109,8 @@ def test_rpe_rotation_error_recorded_internally():
     gt = straight_line(3)
     est_poses = [sp for sp in gt]
     est_poses[2] = StampedPose(
-        Isometry3(exp_so3(np.array([0.0, 0.0, 0.1])), np.array([2.0, 0.0, 0.0])),
+        Isometry3(exp_se3(np.r_[0.0, 0.0, 0.0, 0.0, 0.0, 0.1]).rotation,
+                  np.array([2.0, 0.0, 0.0])),
         est_poses[2].stamp)
     report = compute_rpe(est_poses, gt, RpeConfig(lengths=(2.0,)))
     rec = report.records[0]

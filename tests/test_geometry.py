@@ -17,7 +17,6 @@ from madlo.geometry import (
     PointCloud,
     eig_sym3,
     exp_se3,
-    exp_so3,
     log_so3,
     skew,
     so3_series,
@@ -95,19 +94,19 @@ def test_exp_se3_zero_twist_is_identity():
     assert np.array_equal(x.translation, np.zeros(3))
 
 
-def test_exp_so3_quarter_turn_about_z():
-    r = exp_so3(np.array([0.0, 0.0, np.pi / 2]))
+def test_exp_se3_rotation_quarter_turn_about_z():
+    r = exp_se3(np.r_[0.0, 0.0, 0.0, 0.0, 0.0, np.pi / 2]).rotation
     expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.abs(r - expected).max() < 1e-12
 
 
-def test_exp_so3_matches_quaternion_oracle():
+def test_exp_se3_rotation_matches_quaternion_oracle():
     rng = np.random.default_rng(11)
     for _ in range(300):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.0, np.pi)
-        r = exp_so3(angle * axis)
+        r = exp_se3(np.r_[0.0, 0.0, 0.0, angle * axis]).rotation
         r_oracle = rot_from_quat(quat_from_axis_angle(axis, angle))
         assert np.abs(r - r_oracle).max() < 1e-12
 

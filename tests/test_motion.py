@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from madlo.geometry import SMALL_ANGLE, Isometry3, PointCloud, exp_se3, exp_so3
+from madlo.geometry import SMALL_ANGLE, Isometry3, PointCloud, exp_se3
 from madlo.motion import StampedPose, deskew, estimate_velocity, predict_pose
 
 
@@ -28,7 +28,8 @@ def model_history(last: Isometry3, v, w, stamps):
     out = []
     for t in stamps[:-1]:
         dt = stamps[-1] - t
-        rel = Isometry3(exp_so3(dt * np.asarray(w)), dt * np.asarray(v))
+        rel = Isometry3(exp_se3(np.r_[0.0, 0.0, 0.0, dt * np.asarray(w)]).rotation,
+                        dt * np.asarray(v))
         out.append(StampedPose(last @ rel.inverse(), t))
     out.append(StampedPose(last, stamps[-1]))
     return out

@@ -45,7 +45,8 @@ def test_validate_config_rejects_unusable_values():
            dict(max_iterations=0), dict(b_ratio=nan), dict(rho_ker=nan),
            dict(scan_period=nan), dict(time_budget_ms=nan), dict(time_budget_ms=0.0),
            dict(time_budget_ms=-5.0), dict(b_max=float("inf")),
-           dict(scan_period=float("inf"))]
+           dict(scan_period=float("inf")), dict(b_ratio=float("inf")),
+           dict(rho_ker=float("inf"))]
     for overrides in bad:
         with pytest.raises(ValueError):
             validate_config(config(**overrides))
@@ -56,7 +57,7 @@ def test_validate_config_rejects_unusable_values():
 def test_first_frame_bootstraps_map():
     rng = np.random.default_rng(120)
     state = OdometryState.initial(config())
-    out = process_frame(state, scan_cloud(rng, big_room_panels(), room_pose(), n=4000))
+    out = process_frame(state, scan_cloud(rng, big_room_panels(), room_pose(), n=4000), stamp=0.0)
     assert np.array_equal(out.pose.matrix(), Isometry3.identity().matrix())
     assert out.matched_fraction == 1.0 and not out.fallback
     assert [kf.frame_index for kf in state.local_map.keyframes] == [0]
@@ -79,8 +80,8 @@ def test_zero_twist_frames_skip_deskew(monkeypatch):
     monkeypatch.setattr(pipeline, "deskew", counting)
     states = [OdometryState.initial(config(deskew=on)) for on in (True, False)]
     for state in states:
-        for cloud in clouds[:2]:
-            process_frame(state, cloud)
+        for k, cloud in enumerate(clouds[:2]):
+            process_frame(state, cloud, stamp=0.1 * k)
     assert deskewed == []
     for a, b in zip(states[0].trajectory, states[1].trajectory):
         assert a.pose.matrix().tobytes() == b.pose.matrix().tobytes()
@@ -90,7 +91,7 @@ def test_zero_twist_frames_skip_deskew(monkeypatch):
     for kf_a, kf_b in zip(*kfs):
         for name in ("mus", "normals", "directions", "left", "valid", "leaf_ids"):
             assert getattr(kf_a.tree, name).tobytes() == getattr(kf_b.tree, name).tobytes()
-    process_frame(states[0], clouds[2])  # moving now
+    process_frame(states[0], clouds[2], stamp=0.2)  # moving now
     assert deskewed == [len(clouds[2])]
 
 
@@ -98,8 +99,8 @@ def test_static_scene_pose_stays_identity_with_no_map_updates():
     rng = np.random.default_rng(121)
     scan = scan_cloud(rng, big_room_panels(), room_pose(), n=4000)
     state = OdometryState.initial(config())
-    for _ in range(6):
-        out = process_frame(state, scan)
+    for k in range(6):
+        out = process_frame(state, scan, stamp=0.1 * k)
     for sp in state.trajectory:
         assert np.linalg.norm(sp.pose.translation) < 1e-6
         assert rotation_angle_deg(sp.pose.rotation) < np.degrees(1e-6)
@@ -114,7 +115,8 @@ def test_corridor_traversal_tracks_to_under_one_percent():
     panels = corridor_panels(length=80.0)
     poses = corridor_poses(200)
     state = OdometryState.initial(config())
-    outputs = [process_frame(state, scan_cloud(rng, panels, p, n=2000)) for p in poses]
+    outputs = [process_frame(state, scan_cloud(rng, panels, p, n=2000), stamp=0.1 * k)
+               for k, p in enumerate(poses)]
     assert len(state.trajectory) == 200
     assert not any(out.fallback for out in outputs)
     x0 = poses[0]
@@ -137,8 +139,8 @@ def test_corridor_jump_from_standstill_tracks_or_flags():
     panels = corridor_panels(80.0)
     xs = [2.0] * 5 + [2.0 + 0.8 * k for k in range(1, 11)]
     state = OdometryState.initial(config())
-    outputs = [process_frame(state, scan_cloud(rng, panels, room_pose(x, 0.0), n=20000))
-               for x in xs]
+    outputs = [process_frame(state, scan_cloud(rng, panels, room_pose(x, 0.0), n=20000),
+                             stamp=0.1 * k) for k, x in enumerate(xs)]
     for x, sp, out in zip(xs, state.trajectory, outputs):
         assert abs(sp.pose.translation[0] - (x - xs[0])) < 0.1 or out.fallback
 
@@ -159,7 +161,7 @@ def test_degenerate_burst_falls_back_and_recovers():
             cloud = PointCloud(room_pose().inverse().apply(pts))
         else:
             cloud = room_scan
-        outputs.append(process_frame(state, cloud))
+        outputs.append(process_frame(state, cloud, stamp=0.1 * k))
     assert [out.fallback for out in outputs] == [5 <= k <= 9 for k in range(15)]
     assert len(state.trajectory) == 15
     for sp in state.trajectory:
@@ -172,12 +174,13 @@ def test_empty_cloud_frames_never_abort():
     rng = np.random.default_rng(124)
     state = OdometryState.initial(config())
     empty = PointCloud(np.zeros((0, 3)))
-    first = process_frame(state, empty)
+    first = process_frame(state, empty, stamp=0.0)
     assert first.fallback and not state.local_map.keyframes
-    second = process_frame(state, scan_cloud(rng, big_room_panels(), room_pose(), n=3000))
+    second = process_frame(state, scan_cloud(rng, big_room_panels(), room_pose(), n=3000),
+                           stamp=0.1)
     assert not second.fallback
     assert [kf.frame_index for kf in state.local_map.keyframes] == [1]
-    third = process_frame(state, empty)
+    third = process_frame(state, empty, stamp=0.2)
     assert third.fallback
     assert len(state.trajectory) == 3
 
@@ -201,7 +204,7 @@ def test_every_frame_kind_yields_its_full_record():
             guesses.append(predict_pose(last.pose, state.velocity, stamp - last.stamp))
         else:
             guesses.append(Isometry3.identity())
-        out = process_frame(state, cloud)
+        out = process_frame(state, cloud, stamp)
         outputs.append(out)
         assert out.frame == k
         assert state.frame_index == len(state.trajectory) == k + 1
@@ -277,8 +280,8 @@ def test_time_budget_stops_iterating_early():
     rng = np.random.default_rng(125)
     panels = big_room_panels()
     state = OdometryState.initial(config(time_budget_ms=0.5, max_iterations=15))
-    process_frame(state, scan_cloud(rng, panels, room_pose(), n=4000))
-    out = process_frame(state, scan_cloud(rng, panels, room_pose(), n=4000))
+    process_frame(state, scan_cloud(rng, panels, room_pose(), n=4000), stamp=0.0)
+    out = process_frame(state, scan_cloud(rng, panels, room_pose(), n=4000), stamp=0.1)
     assert out.iterations <= 2
     assert not out.fallback
 

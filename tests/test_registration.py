@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from madlo import registration
-from madlo.geometry import Isometry3, exp_se3, exp_so3
+from madlo.geometry import Isometry3, exp_se3
 from madlo.madtree import KdTree, TreeParams, build_tree, transform_tree
 from madlo.registration import (
     DegenerateRegistrationError,
@@ -490,7 +490,7 @@ def test_icp_reports_why_it_stopped(room):
     # a pass takes longer than the budget; under load it may run out before the first
     try:
         timed = icp([tree], scan, Isometry3.identity(),
-                    RegistrationParams(max_iterations=10**6, time_budget=1e-5))
+                    RegistrationParams(max_iterations=10**6, time_budget_ms=1e-2))
     except DegenerateRegistrationError as err:
         timed = err.result
     assert timed.reason == "time_budget" and timed.iterations <= 1
@@ -530,9 +530,10 @@ def test_icp_multi_tree_matches_single_tree_reduction(room):
 
 
 def test_registration_params_validation():
-    nan = float("nan")
-    for bad in (dict(b_ratio=0.0), dict(b_ratio=nan), dict(rho_ker=-0.1), dict(rho_ker=nan),
-                dict(time_budget=0.0), dict(time_budget=-0.005), dict(time_budget=nan)):
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(b_ratio=0.0), dict(b_ratio=nan), dict(b_ratio=inf), dict(rho_ker=-0.1),
+                dict(rho_ker=nan), dict(rho_ker=inf), dict(time_budget_ms=0.0),
+                dict(time_budget_ms=-5.0), dict(time_budget_ms=nan)):
         with pytest.raises(ValueError):
             RegistrationParams(**bad)
     for bad in (0, -1, None, True):

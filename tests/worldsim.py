@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from madlo.geometry import Isometry3, PointCloud
+from madlo.geometry import Isometry3, PointCloud, exp_se3
 
 
 def _unit(v):
@@ -88,15 +88,13 @@ def scan_cloud(rng: np.random.Generator, panels, pose: Isometry3, n: int = 2500,
 
 def random_small_isometry(rng: np.random.Generator, max_angle_deg: float,
                           max_translation: float) -> Isometry3:
-    from madlo.geometry import exp_so3
-
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = np.deg2rad(rng.uniform(0.0, max_angle_deg))
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     t = rng.uniform(0.0, max_translation) * direction
-    return Isometry3(exp_so3(angle * axis), t)
+    return Isometry3(exp_se3(np.r_[0.0, 0.0, 0.0, angle * axis]).rotation, t)
 
 
 def rotation_angle_deg(r: np.ndarray) -> float:
