@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# below this angle the closed-form sin/cos coefficients are replaced by
-# their Taylor expansions to avoid 0/0
+# below this angle log_so3 returns the sine vector as the angle, and
+# so3_series its limits (1, 1/2, 1/6) to the last bit
 SMALL_ANGLE = 1e-8
+# below this angle so3_series takes Taylor series: its closed forms cancel,
+# losing about 3e-16 / t^2 of (1 - cos t) and (t - sin t), while the series
+# terms it drops (t^6 / 7!) stay under a rounding step
+SERIES_ANGLE = 1e-3
 # tolerance on ||R^T R - I||_inf when a rotation is taken from user input
 ORTHONORMAL_TOL = 1e-6
 # compositions between polar re-orthonormalizations of the rotation block
@@ -36,15 +40,17 @@ def so3_series(t):
     """The coefficients of the SO(3)/SE(3) exponential at angles ``t``.
 
     Elementwise (sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3); below
-    SMALL_ANGLE their limits (1, 1/2, 1/6), so t = 0 never divides.
+    SERIES_ANGLE their Taylor series to the t^4 term, so t = 0 never divides.
     """
     t = np.asarray(t, dtype=float)
-    small = t < SMALL_ANGLE
-    ts = np.where(small, 1.0, t)  # avoid 0/0; overwritten below for small angles
+    series = t < SERIES_ANGLE
+    ts = np.where(series, 1.0, t)  # avoid 0/0; overwritten below for small angles
     sin, t2 = np.sin(ts), ts * ts
-    return (np.where(small, 1.0, sin / ts),
-            np.where(small, 0.5, (1.0 - np.cos(ts)) / t2),
-            np.where(small, 1.0 / 6.0, (ts - sin) / (t2 * ts)))
+    s2 = np.where(series, t * t, 0.0)
+    return (np.where(series, 1.0 - s2 / 6.0 * (1.0 - s2 / 20.0), sin / ts),
+            np.where(series, 0.5 - s2 / 24.0 * (1.0 - s2 / 30.0), (1.0 - np.cos(ts)) / t2),
+            np.where(series, 1.0 / 6.0 - s2 / 120.0 * (1.0 - s2 / 42.0),
+                     (ts - sin) / (t2 * ts)))
 
 
 def _check_rotation(r: np.ndarray) -> None:

@@ -7,11 +7,13 @@ numeric quadrature of the rotation integral.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from madlo.geometry import (
+    SERIES_ANGLE,
     SMALL_ANGLE,
     Isometry3,
     PointCloud,
@@ -143,6 +145,20 @@ def test_so3_series_matches_scalar_closed_forms():
         want = (math.sin(t) / t, (1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / (t * t * t))
         for got, ref in zip(so3_series(t), want):
             assert abs(float(got) - ref) <= 1e-15 * abs(ref)
+
+
+def test_so3_series_matches_the_taylor_series_above_the_limits():
+    # the closed forms cancel just above SMALL_ANGLE: at t = 2e-8 they gave
+    # b = 0.555 and c = 0, at 1e-5 c = 0.1666673; the reference sums each
+    # series exactly in rationals, to the t^14 term
+    for t in (1e-8, 2e-8, 5e-8, 1e-6, 1e-5, 1e-4, 1e-3):
+        tq = Fraction(t)
+        # the closed forms keep about 10 digits at SERIES_ANGLE
+        tol = 4e-16 if t < SERIES_ANGLE else 1e-10
+        for got, first in zip(so3_series(t), (1, 2, 3)):
+            ref = float(sum(Fraction((-1) ** k, math.factorial(2 * k + first)) * tq ** (2 * k)
+                            for k in range(8)))
+            assert abs(float(got) - ref) <= tol * ref, (t, first, float(got), ref)
 
 
 def test_so3_series_array_equals_elementwise_calls():
