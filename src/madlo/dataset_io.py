@@ -60,8 +60,9 @@ def _drop_non_finite(path, points: np.ndarray, times: np.ndarray | None = None):
 def filter_range(cloud: PointCloud, min_range, max_range) -> PointCloud:
     """Keep points whose distance from the origin (the sensor) lies in the
     closed band [min_range, max_range], which ``ScanSource`` has checked."""
-    r = np.linalg.norm(cloud.points, axis=1)
-    keep = (r >= min_range) & (r <= max_range)
+    p = cloud.points
+    r2 = np.einsum("ij,ij->i", p, p)
+    keep = (r2 >= min_range ** 2) & (r2 <= max_range ** 2)
     if keep.all():
         return cloud
     rel = None if cloud.rel_times is None else cloud.rel_times[keep]

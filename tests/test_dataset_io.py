@@ -99,6 +99,20 @@ def test_filter_range_keeps_rel_times_aligned():
     assert np.array_equal(out.rel_times, [0.5])
 
 
+@pytest.mark.parametrize("band", [(1.0, 120.0), (0.3, 7.7), (2.5, 81.3)])
+def test_filter_range_band_is_closed_to_the_last_float(band):
+    lo, hi = band
+    edges = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)]
+    # every edge on each axis, with either sign
+    pts = np.concatenate([s * np.eye(3)[a] * r for r in edges for a in range(3) for s in (1, -1)])
+    cloud = PointCloud(pts.reshape(-1, 3))
+    out = filter_range(cloud, lo, hi)
+    assert np.array_equal(out.points, cloud.points[:12])
+    # all inside: the cloud itself comes back
+    inside = PointCloud(cloud.points[:12])
+    assert filter_range(inside, lo, hi) is inside
+
+
 # ---------------------------------------------------------- time synthesis
 
 
