@@ -18,6 +18,11 @@ moment rows, with no LAPACK call; the per-point rows live in buffers made
 once per build that every level reuses; and the split is a stable sort of
 16-bit keys, which numpy does by radix, while a level has fewer than 32768
 interior nodes.
+
+``thin_cloud`` runs before the build (and before deskew): it keeps one point
+per voxel of edge ``b_max / VOXELS_PER_LEAF`` on a grid fixed in the sensor
+frame, so near-range density, which a leaf's plane does not need, stops
+paying for every level.
 """
 from __future__ import annotations
 
@@ -30,6 +35,8 @@ from .geometry import Isometry3, PointCloud, eig_sym3
 # nodes with fewer points than this cannot estimate a covariance plane and
 # terminate as leaves with an invalid normal unless an ancestor donated one
 MIN_SPLIT_POINTS = 3
+# thin_cloud keeps one point per voxel of edge b_max / VOXELS_PER_LEAF
+VOXELS_PER_LEAF = 4
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,58 @@ class KdTree:
                 np.minimum(margin, np.abs(proj), out=margin, where=child >= 0)
             cur = np.maximum(child + (proj > 0.0), cur)
         return cur
+
+
+def thin_cloud(cloud: PointCloud, params: TreeParams = TreeParams()) -> PointCloud:
+    """Keep the first point, in input order, of every occupied voxel of edge
+    ``b_max / VOXELS_PER_LEAF``, with its time; the cloud itself when no two
+    points share a voxel.
+
+    The voxels are the cells ``floor(p / edge)`` of one grid fixed in the
+    sensor frame, so where a point falls does not depend on the rest of the
+    cloud. Point 0 is always kept.
+    """
+    n = len(cloud)
+    if n < 2:
+        return cloud
+    # one contiguous row of cells per axis
+    cells = np.empty((3, n))
+    np.divide(cloud.points.T, params.b_max / VOXELS_PER_LEAF, out=cells)
+    np.floor(cells, out=cells)
+    keys = _pack_cells(cells)
+    if keys is None:
+        _, first = np.unique(cells.T, axis=0, return_index=True)
+    else:
+        # sorted, each voxel's keys form one run that starts at its first point
+        keys.sort()
+        voxel = keys // n
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.not_equal(voxel[1:], voxel[:-1], out=starts[1:])
+        first = keys[starts] % n
+    if first.size == n:
+        return cloud
+    first.sort()
+    rel = None if cloud.rel_times is None else cloud.rel_times[first]
+    return PointCloud(cloud.points[first], rel_times=rel)
+
+
+def _pack_cells(cells: np.ndarray) -> np.ndarray | None:
+    """One int64 per column i of the (3, N) integer-valued ``cells``: its
+    cells, each axis shifted by its smallest one, then i, packed by mixed
+    radix, so the keys order by voxel and then by point, and two points
+    share ``key // N`` exactly when they share a voxel. None when the keys
+    do not fit one int64."""
+    n = cells.shape[1]
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    if not (-2.0 ** 63 < lo.min() and hi.max() < 2.0 ** 63):  # inf fails too
+        return None
+    sx, sy, sz = (int(h) - int(l) + 1 for l, h in zip(lo, hi))
+    if sx * sy * sz * n > 2 ** 63:  # Python ints: the product cannot wrap
+        return None
+    c = cells.astype(np.int64)
+    c -= lo.astype(np.int64)[:, None]
+    return ((c[0] * sy + c[1]) * sz + c[2]) * n + np.arange(n)
 
 
 def build_tree(cloud, params: TreeParams = TreeParams()) -> KdTree:

@@ -7,11 +7,22 @@ propagation in one shot.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from madlo.geometry import Isometry3, PointCloud, exp_se3
-from madlo.madtree import KdTree, TreeParams, build_tree, stack_trees, transform_tree
+from madlo.madtree import (
+    VOXELS_PER_LEAF,
+    KdTree,
+    TreeParams,
+    _pack_cells,
+    build_tree,
+    stack_trees,
+    thin_cloud,
+    transform_tree,
+)
 from worldsim import room_cloud
 
 
@@ -617,3 +628,85 @@ def test_build_rejects_empty_and_nan():
     with pytest.raises(ValueError):
         build_tree(np.array([[np.nan, 0.0, 0.0]]))
 
+
+
+# ---------------------------------------------------------------- thinning
+
+
+def thin_oracle(pts: np.ndarray, edge: float) -> list:
+    """Index of the first point of each voxel floor(p / edge), in input
+    order: one dict over the cells as Python integers, which never wrap."""
+    first = {}
+    for i, p in enumerate(pts.tolist()):
+        first.setdefault(tuple(math.floor(x / edge) for x in p), i)
+    return sorted(first.values())
+
+
+def check_thin(pts: np.ndarray, b_max: float) -> PointCloud:
+    """thin_cloud keeps exactly the oracle's points, each with its own time
+    (all times distinct, so a point kept from the wrong index shows)."""
+    rel = np.random.default_rng(len(pts)).permutation(len(pts)) / max(len(pts), 1)
+    out = thin_cloud(PointCloud(pts, rel_times=rel), TreeParams(b_max=b_max, b_min=b_max / 2))
+    keep = thin_oracle(pts, b_max / VOXELS_PER_LEAF)
+    assert out.points.tobytes() == pts[keep].tobytes()
+    assert out.rel_times.tobytes() == rel[keep].tobytes()
+    return out
+
+
+def test_thin_cloud_keeps_the_first_point_of_each_voxel():
+    rng = np.random.default_rng(140)
+    for trial in range(30):
+        n = int(rng.integers(2, 400))
+        # scattered, with negative coordinates, at 0.05 m voxels
+        dense = rng.uniform(-1.0, 1.0, size=(n, 3)) * rng.uniform(0.05, 3.0)
+        # every coordinate on a voxel face (0.5 m voxels) or one float below it
+        faces = rng.integers(-6, 7, size=(n, 3)) * 0.5
+        below = rng.random((n, 3)) < 0.2
+        faces[below] = np.nextafter(faces[below], -np.inf)
+        # repeated points, shuffled in, and one far point that moves every
+        # axis's smallest cell
+        dup = rng.permutation(np.concatenate([dense, dense[: n // 2]]))
+        far = np.concatenate([dense, [[-3.7e4, 2.1e5, -9.9e3]]])
+        check_thin(dense, 0.2)
+        check_thin(faces, 2.0)
+        check_thin(dup, 0.2)
+        check_thin(far, 0.2)
+
+
+def test_thin_cloud_faces_belong_to_the_voxel_above():
+    pts = np.array([[0.5, 0.0, 0.0], [np.nextafter(0.5, 0.0), 0.0, 0.0],
+                    [0.75, 0.25, 0.25], [0.0, 0.0, -0.5], [0.0, 0.0, -0.25]])
+    out = thin_cloud(PointCloud(pts), TreeParams(b_max=2.0, b_min=1.0))
+    # 0.5 and 0.75 share [0.5, 1); -0.5 and -0.25 share [-0.5, 0)
+    assert out.points.tobytes() == pts[[0, 1, 3]].tobytes()
+
+
+def test_thin_cloud_returns_the_cloud_when_nothing_repeats():
+    one = PointCloud(np.array([[1.0, 2.0, 3.0]]))
+    assert thin_cloud(one) is one
+    spread = PointCloud(np.arange(30.0).reshape(10, 3))
+    assert thin_cloud(spread) is spread
+
+
+def test_thin_cloud_keys_stay_exact_past_any_fixed_width_packing():
+    # 0.5 m voxels; cells 2^21 apart collide in a 21-bit field per axis
+    rng = np.random.default_rng(141)
+    local = rng.uniform(-1.0, 1.0, size=(60, 3))
+    step = 0.5 * 2.0 ** 21
+    wide_x = [local + [k * step, 0.0, 0.0] for k in (0, 1, 2 ** 21, -(2 ** 20))]
+    wide_all = [local + np.array(o) * step for o in
+                ((0, 0, 0), (1, 1, 1), (-1, 2, 0), (3, -2, 5), (2 ** 20, 0, -(2 ** 20)))]
+    # cells past int64 (|cell| >= 2^63) and past 2^53, where floats are sparse
+    huge = [local, local * 1e17 + 5e18, local - 2.0 ** 63]
+    cases = [(np.concatenate(wide_x), False), (np.concatenate(wide_all), True),
+             (np.concatenate(huge), True)]
+    for pts, fallback in cases:
+        pts = np.concatenate([pts, pts[::3]])  # some voxels twice
+        cells = np.floor(pts.T / (2.0 / VOXELS_PER_LEAF))
+        # x alone spans more than 2^21 cells in the first case, every axis in the others
+        spans = cells.max(axis=1) - cells.min(axis=1)
+        assert np.count_nonzero(spans > 2.0 ** 21) == (3 if fallback else 1)
+        # the first case packs one int64 key, the others group the cells
+        assert (_pack_cells(cells) is None) == fallback
+        out = check_thin(pts, 2.0)
+        assert len(out) < len(pts)
