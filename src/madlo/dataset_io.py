@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -98,6 +99,10 @@ _PLY_TYPES = {
 
 _TIME_NAMES = ("time", "t", "timestamp")
 
+# the header ends at the first line whose only token is end_header, so a
+# comment that mentions it does not end the header
+_PLY_HEADER_END = re.compile(rb"^[^\S\n]*end_header[^\S\n]*$", re.MULTILINE)
+
 
 def _normalize_times(t: np.ndarray) -> np.ndarray:
     """Map native per-point times onto [0, 1], min-max if out of band."""
@@ -122,12 +127,10 @@ def read_ply(path) -> PointCloud:
     Points with a non-finite coordinate or time are dropped.
     """
     data = Path(path).read_bytes()
-    marker = data.find(b"end_header")
-    if not data.startswith(b"ply") or marker < 0:
+    marker = _PLY_HEADER_END.search(data)
+    if not data.startswith(b"ply") or marker is None:
         raise ValueError(f"{path}: not a PLY file")
-    header_end = data.find(b"\n", marker)
-    if header_end < 0:  # the file ends with the header
-        header_end = len(data)
+    header_end = marker.end()  # the newline, or the end of a file that has no body
     body = data[header_end + 1:]
 
     fmt = None
@@ -350,6 +353,8 @@ class ScanSource:
             raise FileNotFoundError(f"scan directory {self.path} does not exist")
         suffix = self._SUFFIX[self.kind]
         self.files = sorted(p for p in self.path.iterdir() if p.suffix == suffix)
+        if not self.files:
+            raise ValueError(f"no *{suffix} scans in {self.path}")
         self.stamps = [k * self.scan_period for k in range(len(self.files))]
         for candidate in (self.path / "times.txt", self.path.parent / "times.txt"):
             if candidate.is_file():

@@ -59,9 +59,10 @@ def compute_rpe(est, gt, cfg: RpeConfig = RpeConfig()) -> RpeReport:
     """Translational (and, internally, rotational) RPE of est against gt.
 
     Both trajectories must be index-aligned and of equal length. Subsequences
-    whose endpoint would fall past the last frame are skipped. The overall
-    number is the flat mean over all subsequence records, not the mean of
-    the per-length means.
+    whose endpoint would fall past the last frame are skipped; when that
+    leaves none, because no requested length fits the ground-truth path, a
+    ValueError is raised. The overall number is the flat mean over all
+    subsequence records, not the mean of the per-length means.
     """
     if len(est) != len(gt):
         raise ValueError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
@@ -86,13 +87,16 @@ def compute_rpe(est, gt, cfg: RpeConfig = RpeConfig()) -> RpeReport:
                 rot_err_deg_per_m=float(
                     np.degrees(np.linalg.norm(log_so3(err.rotation))) / path),
             ))
+    if not records:
+        raise ValueError(f"no subsequence fits: the ground-truth path is {cum[-1]:g} m, "
+                         f"the shortest requested length {cfg.lengths[0]:g} m")
     per_length = {}
     for length in cfg.lengths:
         errs = [r.trans_err_pct for r in records if r.length == length]
         if errs:
             per_length[length] = float(np.mean(errs))
-    overall = float(np.mean([r.trans_err_pct for r in records])) if records else float("nan")
-    overall_rot = float(np.mean([r.rot_err_deg_per_m for r in records])) if records else float("nan")
+    overall = float(np.mean([r.trans_err_pct for r in records]))
+    overall_rot = float(np.mean([r.rot_err_deg_per_m for r in records]))
     return RpeReport(per_length=per_length, overall=overall,
                      overall_rot=overall_rot, records=records)
 

@@ -1,10 +1,12 @@
 """Keyframe forest used as the registration model.
 
 Every processed frame becomes a candidate; when scan-to-map overlap drops,
-the candidate whose registration carried the most information (largest
-det(H), i.e. the tightest pose covariance) is promoted to a keyframe. The
-forest holds world-frame trees only and drops the oldest keyframe beyond
-capacity, keeping update cost bounded.
+the candidate whose registration carried the most information is promoted
+to a keyframe. A candidate's score is the det(H) its frame logs as
+``det_H``: the largest is the tightest pose covariance, and a fallback
+frame scores -inf, so it is never promoted. The forest holds world-frame
+trees only and drops the oldest keyframe beyond capacity, keeping update
+cost bounded.
 """
 from __future__ import annotations
 
@@ -24,38 +26,19 @@ QUEUE_LIMIT = 64
 @dataclass
 class Keyframe:
     tree: KdTree                 # world frame
-    information: np.ndarray      # 6x6 registration system matrix
     frame_index: int
-    degenerate: bool = False     # came out of a rank-deficient solve
-
-
-def _score(kf: Keyframe) -> float:
-    """log det(H) via Cholesky; anything non-PSD (or flagged) scores -inf.
-
-    Never NaN: numpy's Cholesky returns NaN for a NaN matrix rather than
-    failing, so a factor whose diagonal is not all positive scores -inf too;
-    the others have each log in (-inf, inf], so no -inf meets an inf.
-    """
-    if kf.degenerate:
-        return -np.inf
-    try:
-        diag = np.diag(np.linalg.cholesky(kf.information))
-    except np.linalg.LinAlgError:
-        return -np.inf
-    if not (diag > 0.0).all():
-        return -np.inf
-    return 2.0 * float(np.sum(np.log(diag)))
+    score: float                 # det(H) of the frame's registration; -inf bars promotion
 
 
 class LocalMap:
     """Bounded keyframe forest plus the candidate queue feeding it.
 
     A push drops every queued candidate that the new one outranks by
-    (det(H) score, frame index), i.e. in frame order one whose det(H) is no
-    higher: it can never be promoted. The queue therefore ranks from its
-    oldest candidate down to its newest, and its head is the best of the
-    last ``QUEUE_LIMIT`` pushes (a sliding-window maximum). A score is never
-    NaN (see ``_score``), so any two ranks compare.
+    (score, frame index), i.e. in frame order one whose score is no higher:
+    it can never be promoted. The queue therefore ranks from its oldest
+    candidate down to its newest, and its head is the best of the last
+    ``QUEUE_LIMIT`` pushes (a sliding-window maximum). Each candidate is
+    queued beside its push number, which is all the window needs.
 
     Keyframes arrive in frame order: ``install`` only bootstraps an empty
     map, and the queue is cleared at each promotion, so a promoted candidate
@@ -65,25 +48,22 @@ class LocalMap:
 
     def __init__(self):
         self.keyframes: deque[Keyframe] = deque(maxlen=CAPACITY)
-        self.candidates: deque[Keyframe] = deque()
-        # (score, frame index, push count) of each candidate, in queue order
-        self._ranks: deque[tuple[float, int, int]] = deque()
+        # (candidate, push number), in queue order
+        self.candidates: deque[tuple[Keyframe, int]] = deque()
         self._pushes = 0
 
     def trees(self) -> list[KdTree]:
         return [kf.tree for kf in self.keyframes]
 
     def push_candidate(self, kf: Keyframe) -> None:
-        rank = (_score(kf), kf.frame_index)
-        while self._ranks and self._ranks[-1][:2] < rank:
-            self._ranks.pop()
+        rank = (kf.score, kf.frame_index)
+        while self.candidates and (self.candidates[-1][0].score,
+                                   self.candidates[-1][0].frame_index) < rank:
             self.candidates.pop()
         self._pushes += 1
-        self._ranks.append((*rank, self._pushes))
-        self.candidates.append(kf)
+        self.candidates.append((kf, self._pushes))
         # only the last QUEUE_LIMIT pushes are eligible
-        if self._ranks[0][2] <= self._pushes - QUEUE_LIMIT:
-            self._ranks.popleft()
+        if self.candidates[0][1] <= self._pushes - QUEUE_LIMIT:
             self.candidates.popleft()
 
     def install(self, kf: Keyframe) -> None:
@@ -91,23 +71,22 @@ class LocalMap:
         self.keyframes.append(kf)
 
     def select_best(self) -> Keyframe | None:
-        """Candidate with maximal det(H); ties go to the most recent frame."""
-        if not self.candidates or self._ranks[0][0] == -np.inf:
+        """Candidate with the largest score; ties go to the most recent frame."""
+        if not self.candidates or self.candidates[0][0].score == -np.inf:
             return None
-        return self.candidates[0]
+        return self.candidates[0][0]
 
     def maybe_update(self, matched_fraction: float, p_th: float) -> bool:
         """Promote the best candidate when overlap dropped below p_th.
 
         Returns True when a keyframe was added. Candidates are cleared only
-        on promotion; a queue full of degenerate candidates promotes nothing.
+        on promotion; a queue of fallback candidates promotes nothing.
         """
-        if matched_fraction >= p_th or not self.candidates:
+        if matched_fraction >= p_th:
             return False
         best = self.select_best()
         if best is None:
             return False
         self.keyframes.append(best)
         self.candidates.clear()
-        self._ranks.clear()
         return True

@@ -136,10 +136,9 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp: float) -> Fram
         if not state.local_map.keyframes:
             # bootstrap: this scan anchors the map
             transform_tree(tree, pose)
-            state.local_map.install(Keyframe(tree=tree, information=np.eye(6),
-                                             frame_index=k))
             p = det = 1.0
             fallback = False
+            state.local_map.install(Keyframe(tree=tree, frame_index=k, score=det))
         else:
             try:
                 result = icp(state.local_map.trees(), tree, guess, state.reg_params)
@@ -149,12 +148,12 @@ def process_frame(state: OdometryState, cloud: PointCloud, stamp: float) -> Fram
                 log.warning("frame %d: degenerate registration, using predicted pose", k)
             t3 = time.perf_counter()
             transform_tree(tree, pose)
-            state.local_map.push_candidate(Keyframe(
-                tree=tree, information=result.information, frame_index=k,
-                degenerate=fallback))
-            state.local_map.maybe_update(result.matched_fraction, state.config.p_th)
             p, iterations = result.matched_fraction, result.iterations
             det = float(np.linalg.det(result.information))
+            # the logged det(H) ranks the candidate; a fallback is never promoted
+            state.local_map.push_candidate(Keyframe(
+                tree=tree, frame_index=k, score=-np.inf if fallback else det))
+            state.local_map.maybe_update(p, state.config.p_th)
 
     state.trajectory.append(StampedPose(pose, stamp))
     state.velocity = estimate_velocity(state.trajectory[-state.config.n:])

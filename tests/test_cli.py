@@ -164,6 +164,15 @@ def test_non_increasing_stamps_exit_1_and_write_nothing(tmp_path, capsys):
         assert f"times.txt:{line}" in capsys.readouterr().err
 
 
+def test_directory_without_scans_of_the_format_exits_1_and_writes_nothing(tmp_path, capsys):
+    scans = write_room_scans(tmp_path, ply=True)
+    out = tmp_path / "out"
+    code = main(["odometry", "--data", str(scans), "--out", str(out), "--format", "kitti"])
+    assert code == 1
+    assert not out.exists()
+    assert f"no *.bin scans in {scans}" in capsys.readouterr().err
+
+
 def test_odometry_reads_times_file_once(tmp_path, monkeypatch):
     scans = write_room_scans(tmp_path)
     (scans / "times.txt").write_text("0.0\n0.1\n0.2\n")
@@ -231,6 +240,19 @@ def test_evaluate_non_finite_pose_exits_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"{est}:2: " in captured.err and "non-finite" in captured.err
         assert captured.out == ""
+
+
+def test_evaluate_with_no_fitting_length_exits_1_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    write_walk_trajectory(path)  # about 80 m of path
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--est", str(path), "--gt", str(path),
+                 "--lengths", "500:600:100", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "no subsequence fits" in captured.err and " 500 m" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_evaluate_missing_file_exits_2(tmp_path):

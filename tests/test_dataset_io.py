@@ -250,6 +250,19 @@ def assert_header_error(path, lineno: int, match: str = "") -> None:
 XYZ_DOUBLE = ["property double x", "property double y", "property double z"]
 
 
+def test_ply_header_ends_at_a_line_that_is_end_header_alone(tmp_path):
+    # a comment naming end_header, and the line itself with blanks around it
+    for end in ("end_header", " end_header\t", "end_header\r"):
+        for fmt, body in (("ascii", b"1 2 3\n-4 5.5 6\n"),
+                          ("binary_little_endian",
+                           np.array([1, 2, 3, -4, 5.5, 6], dtype="<f8").tobytes())):
+            lines = ["ply", f"format {fmt} 1.0", "comment written by end_header tool",
+                     "element vertex 2", *XYZ_DOUBLE, end, ""]
+            (tmp_path / "c.ply").write_bytes("\n".join(lines).encode() + body)
+            cloud = read_ply(tmp_path / "c.ply")
+            assert np.array_equal(cloud.points, [[1, 2, 3], [-4, 5.5, 6]]), (end, fmt)
+
+
 def test_ply_rejects_big_endian(tmp_path):
     # a bare format line is as unreadable as an unsupported one
     for fmt in ("format binary_big_endian 1.0", "format"):

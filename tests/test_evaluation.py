@@ -125,6 +125,14 @@ def test_rpe_skips_lengths_past_trajectory_end():
     assert all(r.length == 5.0 for r in report.records)
 
 
+def test_rpe_raises_when_no_length_fits():
+    gt = straight_line(20)  # a 19 m path
+    assert len(compute_rpe(gt, gt, RpeConfig(lengths=(19.0, 30.0))).records) == 1
+    for lengths in ((19.5,), (50.0, 100.0)):
+        with pytest.raises(ValueError, match=rf"19 m.* {lengths[0]:g} m"):
+            compute_rpe(gt, gt, RpeConfig(lengths=lengths))
+
+
 def test_rpe_gauge_invariance():
     rng = np.random.default_rng(112)
     gt = walk_trajectory(rng, 40)

@@ -9,6 +9,7 @@ from worldsim import big_room_panels, panel, rotation_angle_deg, sample_panels, 
 from madlo.dataset_io import PointCloud, RunConfig, ScanSource, write_trajectory_kitti
 from madlo import pipeline
 from madlo.geometry import Isometry3
+from madlo.localmap import QUEUE_LIMIT, LocalMap
 from madlo.motion import deskew, predict_pose
 from madlo.pipeline import (
     OdometryState,
@@ -85,7 +86,7 @@ def test_zero_twist_frames_skip_deskew(monkeypatch):
     assert deskewed == []
     for a, b in zip(states[0].trajectory, states[1].trajectory):
         assert a.pose.matrix().tobytes() == b.pose.matrix().tobytes()
-    kfs = [sorted([*s.local_map.keyframes, *s.local_map.candidates],
+    kfs = [sorted([*s.local_map.keyframes, *(kf for kf, _ in s.local_map.candidates)],
                   key=lambda kf: kf.frame_index) for s in states]
     assert [kf.frame_index for kf in kfs[0]] == [0, 1]
     for kf_a, kf_b in zip(*kfs):
@@ -110,7 +111,8 @@ def test_scan_with_every_point_twice_runs_as_the_scan_alone():
     assert states[0].velocity.any()  # the last frames were deskewed
     for a, b in zip(states[0].trajectory, states[1].trajectory):
         assert a.pose.matrix().tobytes() == b.pose.matrix().tobytes()
-    kfs = [[*s.local_map.keyframes, *s.local_map.candidates] for s in states]
+    kfs = [[*s.local_map.keyframes, *(kf for kf, _ in s.local_map.candidates)]
+           for s in states]
     assert [kf.frame_index for kf in kfs[0]] == [kf.frame_index for kf in kfs[1]]
     for kf_a, kf_b in zip(*kfs):
         for name in ("mus", "normals", "directions", "left", "valid"):
@@ -202,7 +204,7 @@ def test_degenerate_burst_falls_back_and_recovers():
     assert len(state.trajectory) == 15
     for sp in state.trajectory:
         assert np.linalg.norm(sp.pose.translation) < 1e-6
-    assert all(not kf.degenerate for kf in state.local_map.keyframes)
+    assert all(kf.score > 0.0 for kf in state.local_map.keyframes)
     assert all(not 5 <= kf.frame_index <= 9 for kf in state.local_map.keyframes)
 
 
@@ -334,8 +336,47 @@ def write_sequence(rng, directory, poses, n=2500):
 
 
 def test_run_sequence_empty_directory(tmp_path):
-    traj, outputs = run_sequence(ScanSource("kitti_bin_dir", tmp_path), config())
-    assert len(traj) == 0 and outputs == []
+    # a directory with no scan of its kind is refused before any run starts
+    with pytest.raises(ValueError, match=r"no \*\.bin scans in"):
+        ScanSource("kitti_bin_dir", tmp_path)
+
+
+def test_promotion_picks_the_largest_logged_det_since_the_last(tmp_path, monkeypatch):
+    """Each promoted keyframe is the frame with the largest det_information
+    among the non-fallback frames pushed since the previous promotion (the
+    latest of them on a tie, the last QUEUE_LIMIT pushes at most)."""
+    from worldsim import corridor_panels
+
+    rng = np.random.default_rng(140)
+    panels = corridor_panels(length=80.0)
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    for k, pose in enumerate(corridor_poses(40, step=0.4)):
+        write_kitti_bin(scans / f"{k:06d}.bin", scan_cloud(rng, panels, pose, n=2000))
+    pushed, promotions = [], []  # promotions: (frame promoted at, frame promoted)
+    push_candidate, maybe_update = LocalMap.push_candidate, LocalMap.maybe_update
+
+    def recording_push(self, kf):
+        pushed.append(kf.frame_index)
+        push_candidate(self, kf)
+
+    def recording_update(self, *args):
+        promoted = maybe_update(self, *args)
+        if promoted:
+            promotions.append((pushed[-1], self.keyframes[-1].frame_index))
+        return promoted
+
+    monkeypatch.setattr(LocalMap, "push_candidate", recording_push)
+    monkeypatch.setattr(LocalMap, "maybe_update", recording_update)
+    _, outputs = run_sequence(ScanSource("kitti_bin_dir", scans), config())
+    assert len(promotions) >= 2
+    last = 0  # the bootstrap frame
+    for at, chosen in promotions:
+        window = [f for f in pushed if last < f <= at][-QUEUE_LIMIT:]
+        eligible = [outputs[f] for f in window if not outputs[f].fallback]
+        best = max(eligible, key=lambda out: (out.det_information, out.frame))
+        assert chosen == best.frame, (at, window)
+        last = at
 
 
 def test_run_sequence_rerun_and_thread_count_invariance(tmp_path):
