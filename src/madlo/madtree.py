@@ -93,43 +93,36 @@ class KdTree:
     def leaf_valid(self) -> np.ndarray:
         return self.valid[self.leaf_ids]
 
-    def descend(self, queries: np.ndarray, margin: np.ndarray | None = None,
-                start: np.ndarray | int | None = None) -> np.ndarray:
-        """Vectorized root-to-leaf descent; returns a node index per query.
+    def descend(self, queries: np.ndarray, margin: np.ndarray,
+                start: np.ndarray | int) -> np.ndarray:
+        """Vectorized descent of the (N, 3) ``queries`` from the nodes
+        ``start`` (0 walks one tree from its root); returns a node index per
+        query and writes into the (N,) float array ``margin`` each query's
+        smallest ``|d . (q - mu)|`` over the interior nodes of its path (inf
+        for a one-leaf tree): a query that moves by less, give or take
+        rounding (``registration.CACHE_SLACK``), keeps its leaf.
 
         Every query takes exactly ``depth`` steps over the per-axis node
         columns. By the node numbering (see the class docstring),
         ``left + 1`` is the right child and ``maximum`` holds a query that
-        has reached its leaf, whose children are -1.
-
-        ``start`` gives the node each query starts from (default the root,
-        0). Trees stacked into one set of arrays, each tree's child ids
-        offset by its first node and ``depth`` their largest, are walked
-        together by starting each query at its own tree's root.
-
-        Given an (N,) float array ``margin``, also writes into it each
-        query's smallest ``|d . (q - mu)|`` over the interior nodes of its
-        path (inf for a one-leaf tree): a query that moves by less, give or
-        take rounding (``registration.CACHE_SLACK``), keeps its leaf.
+        has reached its leaf, whose children are -1. Trees stacked into one
+        set of arrays (``stack_trees``) are walked together by starting each
+        query at its own tree's root.
         """
         q = np.asarray(queries, dtype=float).reshape(-1, 3)
         qx, qy, qz = np.ascontiguousarray(q.T)
         m0, m1, m2 = self.mus.T
         d0, d1, d2 = self.directions.T
         left = self.left
-        cur = np.zeros(q.shape[0], dtype=np.int64)
-        if start is not None:
-            cur[:] = start
-        if margin is not None:
-            margin.fill(np.inf)
+        cur = np.full(q.shape[0], start, dtype=np.int64)
+        margin.fill(np.inf)
         for _ in range(self.depth):
             proj = d0.take(cur) * (qx - m0.take(cur))
             proj += d1.take(cur) * (qy - m1.take(cur))
             proj += d2.take(cur) * (qz - m2.take(cur))
             child = left.take(cur)
-            if margin is not None:
-                # the steps a query takes at its leaf split nothing
-                np.minimum(margin, np.abs(proj), out=margin, where=child >= 0)
+            # the steps a query takes at its leaf split nothing
+            np.minimum(margin, np.abs(proj), out=margin, where=child >= 0)
             cur = np.maximum(child + (proj > 0.0), cur)
         return cur
 
@@ -316,8 +309,9 @@ def transform_tree(tree: KdTree, x: Isometry3) -> None:
 
 
 def stack_trees(trees: "list[KdTree]"):
-    """The trees as one ``KdTree``, and each tree's first node in it: a
-    query that ``descend`` starts there walks that tree (see ``start``)."""
+    """The trees as one ``KdTree``, each tree's child ids offset by its first
+    node and ``depth`` their largest, and each tree's first node in it: a
+    query that ``descend`` starts there walks that tree."""
     first = np.cumsum([0] + [t.num_nodes for t in trees[:-1]])
     forest = KdTree()
     # (3, N) rows side by side, transposed: column-major like every tree

@@ -138,18 +138,15 @@ def associate(wq: np.ndarray, radii: np.ndarray, mu_l: np.ndarray, valid: np.nda
     return (dist <= radii) & valid
 
 
-def point_to_plane(wq: np.ndarray, mu_l: np.ndarray, n_l: np.ndarray,
-                   jac: np.ndarray | None = None):
+def point_to_plane(wq: np.ndarray, mu_l: np.ndarray, n_l: np.ndarray, jac: np.ndarray):
     """Residuals e = n_l . (X mu_q - mu_l) and their (N, 6) Jacobian rows,
-    written into ``jac`` when given.
+    written into ``jac``; returns both.
 
     ``wq`` holds the already transformed centroids X mu_q. Differentiating
     e(xi) = n_l . (exp(xi) X mu_q - mu_l) at xi = 0 gives n_l for the
     translational columns and cross(X mu_q, n_l) for the rotational ones.
     """
     e = np.einsum("ni,ni->n", n_l, wq - mu_l)
-    if jac is None:
-        jac = np.empty((wq.shape[0], 6))
     jac[:, :3] = n_l
     # cross(wq, n_l) with np.cross's operations, in its order
     a, n = wq.T, n_l.T
@@ -177,7 +174,8 @@ def _accumulate(wq: np.ndarray, radii: np.ndarray, mu_l: np.ndarray, n_l: np.nda
 
 
 class _LeafCache:
-    """What every query found in each model tree, kept for one ``icp`` call.
+    """What each of ``n`` queries found in each model tree, kept for one
+    ``icp`` call.
 
     Row t of each array belongs to tree t: ``mu_l``, ``n_l`` and ``valid``
     hold the centroid, normal and normal validity of the leaf the query
@@ -185,36 +183,35 @@ class _LeafCache:
     the interior nodes of its path at its last descent, less the steps it
     has taken since. A step of length s moves each such projection by at
     most s (|d| = 1), so a query with ``remaining > 0`` still lands in the
-    same leaf; the others are stale. ``remaining`` starts at 0, so on the
-    first pass every row is. Stale rows descend the stacked forest again,
-    at most N per walk so its temporaries stay N-sized, and only they are
-    refreshed. 57 B per query per tree, plus the previous queries and the
-    forest.
+    same leaf; the others are stale. ``remaining`` starts at 0 and every
+    step lowers it, so on the first pass every row is. Stale rows descend
+    the stacked forest again, at most N per walk so its temporaries stay
+    N-sized, and only they are refreshed. 57 B per query per tree, plus the
+    previous queries and the forest.
     """
 
-    def __init__(self, model: "list[KdTree]"):
+    def __init__(self, model: "list[KdTree]", n: int):
         self.forest, self.first = stack_trees(model)
         # the largest |coordinate| of any node centroid in the forest
         mus = self.forest.mus
         self.mu_scale = max(float(mus.max()), -float(mus.min()))
         self.q_scale = 0.0
-        self.wq_prev = None
+        # the first update's step runs from the origin
+        self.wq_prev = 0.0
+        shape = (len(self.first), n)
+        self.remaining = np.zeros(shape)
+        self.mu_l = np.empty(shape + (3,))
+        self.n_l = np.empty(shape + (3,))
+        self.valid = np.empty(shape, dtype=bool)
 
     def update(self, wq: np.ndarray) -> None:
         """Land the (N, 3) queries ``wq`` in every tree."""
         n = wq.shape[0]
         self.q_scale = max(self.q_scale, float(np.abs(wq).max(initial=0.0)))
-        if self.wq_prev is None:
-            shape = (len(self.first), n)
-            self.remaining = np.zeros(shape)
-            self.mu_l = np.empty(shape + (3,))
-            self.n_l = np.empty(shape + (3,))
-            self.valid = np.empty(shape, dtype=bool)
-        else:
-            diff = wq - self.wq_prev
-            step = np.sqrt(np.einsum("ni,ni->n", diff, diff))
-            step += CACHE_SLACK * (self.q_scale + self.mu_scale)
-            self.remaining -= step
+        diff = wq - self.wq_prev
+        step = np.sqrt(np.einsum("ni,ni->n", diff, diff))
+        step += CACHE_SLACK * (self.q_scale + self.mu_scale)
+        self.remaining -= step
         self.wq_prev = wq
         stale = np.flatnonzero(~(self.remaining > 0.0))  # NaN descends too
         forest = self.forest
@@ -242,8 +239,6 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     model = list(model)
     if not model:
         raise ValueError("model forest is empty")
-    if scan.num_leaves == 0:
-        raise ValueError("scan tree has no leaves")
 
     q_valid = scan.leaf_valid()
     mus_q = scan.leaf_mus()[q_valid]
@@ -255,7 +250,7 @@ def icp(model: "list[KdTree]", scan: KdTree, guess: Isometry3,
     matched = np.zeros(n_queries, dtype=bool)
     iterations = 0
     cost_history: list[float] = []
-    cache = _LeafCache(model)
+    cache = _LeafCache(model, n_queries)
     jac = np.empty((n_queries, 6))
     start = time.perf_counter()
 

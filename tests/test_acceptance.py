@@ -120,9 +120,10 @@ def test_criterion_01_search_matches_reference_descent(report):
         tree = build_tree(pts)
         lo, hi = pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0
         queries = rng.uniform(lo, hi, size=(100, 3))
+        margin = np.empty(len(queries))
         want = reference_descent(tree, queries)
         checked += len(want)
-        mismatched += int(np.count_nonzero(tree.descend(queries) != want))
+        mismatched += int(np.count_nonzero(tree.descend(queries, margin, 0) != want))
     elapsed = time.perf_counter() - start
     report(1, mismatched == 0 and elapsed < 30.0,
            f"{checked} queries over 1000 clouds, {mismatched} mismatches, "
@@ -132,6 +133,7 @@ def test_criterion_01_search_matches_reference_descent(report):
 def test_criterion_02_transform_equivariance(report):
     rng = np.random.default_rng(202)
     triples = 0
+    margin = np.empty(1)
     same_leaf = True
     worst = 0.0
     for _ in range(50):
@@ -141,10 +143,10 @@ def test_criterion_02_transform_equivariance(report):
         for _ in range(20):
             x = exp_se3(np.concatenate([rng.uniform(-5, 5, 3), rng.normal(size=3)]))
             q = rng.uniform(lo, hi)
-            idx = tree.descend(q)[0]
+            idx = tree.descend(q[None], margin, 0)[0]
             mu, normal = tree.mus[idx].copy(), tree.normals[idx].copy()
             transform_tree(tree, x)
-            after = tree.descend(x.apply(q))[0]
+            after = tree.descend(x.apply(q)[None], margin, 0)[0]
             same_leaf &= after == idx
             dev = max(float(np.abs(tree.mus[after] - x.apply(mu)).max()),
                       float(np.abs(tree.normals[after] - x.rotation @ normal).max()))
@@ -168,7 +170,7 @@ def test_criterion_03_point_to_plane_jacobian(report):
         pose = exp_se3(rng.normal(size=6))
 
         def residual(x):
-            return point_to_plane(x.apply(q)[None], mu_l[None], n_l[None])
+            return point_to_plane(x.apply(q)[None], mu_l[None], n_l[None], np.empty((1, 6)))
 
         _, jac = residual(pose)
         jac = jac[0]

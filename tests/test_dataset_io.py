@@ -197,8 +197,9 @@ def test_ply_reads_float32_vertices_with_extra_properties(tmp_path):
 
 
 def test_ply_ascii_hand_written(tmp_path):
+    # blank header lines are skipped
     text = (
-        "ply\nformat ascii 1.0\ncomment made by hand\nelement vertex 2\n"
+        "ply\nformat ascii 1.0\n\ncomment made by hand\n \t\nelement vertex 2\n"
         "property double x\nproperty double y\nproperty double z\nend_header\n"
         "1 2 3\n-4 5.5 6\n"
     )
@@ -219,6 +220,15 @@ def test_ply_normalizes_absolute_times(tmp_path):
     (tmp_path / "b.ply").write_bytes(data[:header_len] + table.tobytes())
     back = read_ply(tmp_path / "b.ply")
     assert np.abs(back.rel_times - [0.0, 0.5, 1.0]).max() < 1e-9
+    # one absolute time for every point has no span to scale: all zeros
+    table[:, 3] = 100.0
+    (tmp_path / "c.ply").write_bytes(data[:header_len] + table.tobytes())
+    assert read_ply(tmp_path / "c.ply").rel_times.tolist() == [0.0, 0.0, 0.0]
+    # no vertex at all: an empty cloud with empty times
+    write_ply_header(tmp_path / "e.ply", ["format binary_little_endian 1.0", "element vertex 0",
+                                          *XYZ_DOUBLE, "property double time"])
+    empty = read_ply(tmp_path / "e.ply")
+    assert empty.points.shape == (0, 3) and empty.rel_times.shape == (0,)
 
 
 def test_ply_drops_non_finite_points(tmp_path, caplog):
@@ -263,6 +273,17 @@ def test_ply_header_ends_at_a_line_that_is_end_header_alone(tmp_path):
             assert np.array_equal(cloud.points, [[1, 2, 3], [-4, 5.5, 6]]), (end, fmt)
 
 
+def test_ply_rejects_a_file_that_is_not_ply(tmp_path):
+    # a header whose first line is not 'ply', one that never ends, and raw floats
+    good = "\n".join(["ply", "format ascii 1.0", "element vertex 1", *XYZ_DOUBLE, "end_header",
+                      "1 2 3", ""]).encode()
+    for data in (b"PLY" + good[3:], good.replace(b"end_header", b"end"),
+                 np.arange(8, dtype="<f4").tobytes()):
+        (tmp_path / "x.ply").write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'x.ply'}: not a PLY file")):
+            read_ply(tmp_path / "x.ply")
+
+
 def test_ply_rejects_big_endian(tmp_path):
     # a bare format line is as unreadable as an unsupported one
     for fmt in ("format binary_big_endian 1.0", "format"):
@@ -289,11 +310,15 @@ def test_ply_rejects_negative_vertex_count(tmp_path):
 
 
 def test_ply_rejects_list_property(tmp_path):
-    # a property line without a name or a type is malformed as well
-    for prop in ("property list uchar int vertex_indices", "property double", "property"):
+    # a property line without a name or a type is malformed as well, and so
+    # is one of a type PLY does not have
+    for prop, match in (("property list uchar int vertex_indices", "list properties"),
+                        ("property double", "expected 'property <type> <name>'"),
+                        ("property", "expected 'property <type> <name>'"),
+                        ("property float128 w", "unknown property type 'float128'")):
         write_ply_header(tmp_path / "b.ply",
                          ["format ascii 1.0", "element vertex 1", *XYZ_DOUBLE, prop], b"1 2 3\n")
-        assert_header_error(tmp_path / "b.ply", 7)
+        assert_header_error(tmp_path / "b.ply", 7, re.escape(match))
 
 
 def test_ply_rejects_missing_axis(tmp_path):
@@ -301,6 +326,12 @@ def test_ply_rejects_missing_axis(tmp_path):
                                           *XYZ_DOUBLE[:2]], b"1 2\n")
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'b.ply'}: ") + ".*'z'"):
         read_ply(tmp_path / "b.ply")
+    # so is a header without its format line or its vertex element
+    for lines, what in ((["element vertex 1", *XYZ_DOUBLE], "no format line"),
+                        (["format ascii 1.0", *XYZ_DOUBLE], "no vertex element")):
+        write_ply_header(tmp_path / "b.ply", lines, b"1 2 3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'b.ply'}: header has {what}")):
+            read_ply(tmp_path / "b.ply")
     # an axis named twice is ambiguous in either format
     for fmt, body in (("ascii", b"1 2 3 4\n"),
                       ("binary_little_endian", np.arange(4, dtype="<f8").tobytes())):
@@ -414,11 +445,12 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_config_rejects_bad_values(tmp_path):
-    # the message names the file, the line and the key
-    for line in ("deskew = yes", "b_max = big", "threads = 2.5", "p_th ="):
-        key = line.split("=")[0].strip()
+    # the message names the file, the line and the key, or the missing '='
+    for line, what in (("deskew = yes", "deskew"), ("b_max = big", "b_max"),
+                       ("threads = 2.5", "threads"), ("p_th =", "p_th"),
+                       ("b_max 0.4", "expected 'key = value'")):
         (tmp_path / "run.cfg").write_text("n = 4\n" + line + "\n")
-        with pytest.raises(ValueError, match=f"run.cfg:2: .*{key}"):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'run.cfg'}:2: ") + ".*" + what):
             parse_config(tmp_path / "run.cfg")
 
 

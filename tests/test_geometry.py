@@ -223,6 +223,9 @@ def test_isometry_inverse_round_trip():
 def test_isometry_rejects_non_rotation():
     with pytest.raises(ValueError):
         Isometry3(np.eye(3) * 1.001)
+    for bad in (np.eye(4), np.ones(3), np.eye(2, 3)):
+        with pytest.raises(ValueError, match="rotation must be 3x3"):
+            Isometry3(bad)
     # every comparison with NaN is False, so a NaN entry needs its own check
     for bad in (np.nan, np.inf):
         r = np.eye(3)
@@ -370,6 +373,9 @@ def test_skew_matches_cross_product():
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud(np.array([[np.nan, 0.0, 0.0]]))
+    for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match=r"points must be \(N, 3\)"):
+            PointCloud(bad)
     with pytest.raises(ValueError):
         PointCloud(np.zeros((2, 3)), rel_times=np.array([0.0]))
     with pytest.raises(ValueError):

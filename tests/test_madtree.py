@@ -83,11 +83,18 @@ def oracle_descend(tree: KdTree, q: np.ndarray):
     return i, margin
 
 
+def leaf_of(tree: KdTree, queries: np.ndarray) -> np.ndarray:
+    """Leaf of each query, walked from the root as ``descend`` always walks:
+    with a margin buffer, here thrown away."""
+    q = np.asarray(queries, dtype=float).reshape(-1, 3)
+    return tree.descend(q, np.empty(len(q)), 0)
+
+
 def node_sums(tree: KdTree, pts: np.ndarray, weights=None) -> np.ndarray:
     """Sum of ``weights`` (default: a count) over the build points under each
     node: a leaf sums the points that descend to it, an interior node its two
     children (numbered after it)."""
-    sums = np.bincount(tree.descend(pts), weights=weights, minlength=tree.num_nodes)
+    sums = np.bincount(leaf_of(tree, pts), weights=weights, minlength=tree.num_nodes)
     for i in np.flatnonzero(tree.left >= 0)[::-1]:
         sums[i] = sums[tree.left[i]] + sums[tree.left[i] + 1]
     return sums
@@ -97,7 +104,7 @@ def node_points(tree: KdTree, pts: np.ndarray) -> list:
     """The build points under each node, gathered like ``node_sums``: a leaf
     holds the points that descend to it, an interior node its children's."""
     members = [[] for _ in range(tree.num_nodes)]
-    for k, leaf in enumerate(tree.descend(pts)):
+    for k, leaf in enumerate(leaf_of(tree, pts)):
         members[leaf].append(k)
     for i in np.flatnonzero(tree.left >= 0)[::-1]:
         members[i] = members[tree.left[i]] + members[tree.left[i] + 1]
@@ -134,7 +141,7 @@ def test_build_matches_recursive_reference():
         assert tree.num_leaves == len(ref)
         # a build point descends to the leaf that owns it; each reference leaf
         # is matched to the tree leaf that owns its first point
-        owner = tree.descend(pts)
+        owner = leaf_of(tree, pts)
         matched = [int(owner[sel[0]]) for sel, _, _ in ref]
         assert np.array_equal(np.sort(matched), np.sort(tree.leaf_ids))
         for leaf_id, (sel, normal, valid) in zip(matched, ref):
@@ -168,7 +175,7 @@ def test_leaf_pca_matches_svd_oracle():
     # b_min ~ 0 shuts off normal propagation: every valid leaf is its own fit
     tree = build_tree(pts, TreeParams(b_max=0.2, b_min=1e-9))
     checked = 0
-    owner = tree.descend(pts)
+    owner = leaf_of(tree, pts)
     for leaf_id in tree.leaf_ids:
         sel = np.flatnonzero(owner == leaf_id)
         # sub-3-point leaves only ever get donated normals, skip them
@@ -246,7 +253,7 @@ def test_parallel_planes_never_share_a_leaf():
     b[:, 2] = 5.0
     pts = np.vstack([a, b])
     tree = build_tree(pts)
-    owner = tree.descend(pts)
+    owner = leaf_of(tree, pts)
     for leaf_id in tree.leaf_ids:
         z = pts[owner == leaf_id, 2]
         assert z.max() - z.min() < 1.0  # all from one plane
@@ -273,14 +280,14 @@ def test_search_well_separated_clusters():
     centers = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
     pts = np.vstack([c + rng.normal(0, 0.03, size=(40, 3)) for c in centers])
     tree = build_tree(pts)
-    assert np.array_equal(tree.descend(tree.leaf_mus()), tree.leaf_ids)
+    assert np.array_equal(leaf_of(tree, tree.leaf_mus()), tree.leaf_ids)
 
 
 def test_search_single_leaf_tree():
     pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])
     tree = build_tree(pts)
     queries = np.array([[0, 0, 0], [100, -3, 9], [-1e6, 0, 0]], dtype=float)
-    assert np.array_equal(tree.descend(queries), np.zeros(3, dtype=np.int64))
+    assert np.array_equal(leaf_of(tree, queries), np.zeros(3, dtype=np.int64))
 
 
 def test_search_matches_descent_oracle():
@@ -288,7 +295,7 @@ def test_search_matches_descent_oracle():
     pts = random_scene(rng, 800)
     tree = build_tree(pts)
     queries = rng.uniform(-5.0, 5.0, size=(1000, 3))
-    batch = tree.descend(queries)
+    batch = leaf_of(tree, queries)
     for k, q in enumerate(queries):
         assert int(batch[k]) == oracle_descend(tree, q)[0]
 
@@ -300,7 +307,7 @@ def test_search_ties_go_left():
     assert tree.num_nodes == 3 and np.array_equal(tree.directions[0], [1.0, 0.0, 0.0])
     mu = tree.mus[0]
     q = np.array([mu, mu + [1e-12, 0.0, 0.0], mu - [1e-12, 0.0, 0.0]])
-    assert np.array_equal(tree.descend(q), tree.left[0] + np.array([0, 1, 0]))
+    assert np.array_equal(leaf_of(tree, q), tree.left[0] + np.array([0, 1, 0]))
 
 
 def test_search_queries_on_interior_centroids_match_oracle():
@@ -310,7 +317,7 @@ def test_search_queries_on_interior_centroids_match_oracle():
         tree = build_tree(random_scene(rng, 600))
         queries = tree.mus[tree.left >= 0]
         assert len(queries) > 10
-        batch = tree.descend(queries)
+        batch = leaf_of(tree, queries)
         for k, q in enumerate(queries):
             assert int(batch[k]) == oracle_descend(tree, q)[0]
 
@@ -328,8 +335,7 @@ def test_descend_margin_matches_oracle():
         queries = np.vstack([rng.uniform(-5.0, 5.0, size=(300, 3)),
                              tree.mus[interior[:50]], near])
         margin = np.full(len(queries), np.nan)
-        ids = tree.descend(queries, margin)
-        assert np.array_equal(ids, tree.descend(queries))
+        ids = tree.descend(queries, margin, 0)
         for k, q in enumerate(queries):
             leaf, want = oracle_descend(tree, q)
             assert int(ids[k]) == leaf
@@ -340,7 +346,7 @@ def test_descend_margin_matches_oracle():
 def test_descend_margin_of_single_leaf_tree_is_inf():
     tree = build_tree(np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]]))
     margin = np.zeros(2)
-    assert np.array_equal(tree.descend(np.array([[0.0, 0.0, 0.0], [5.0, 1.0, 2.0]]), margin),
+    assert np.array_equal(tree.descend(np.array([[0.0, 0.0, 0.0], [5.0, 1.0, 2.0]]), margin, 0),
                           [0, 0])
     assert np.isinf(margin).all()
 
@@ -365,11 +371,11 @@ def test_descend_from_start_nodes_walks_each_stacked_tree():
     for t, tree in enumerate(model):
         rows = tree_of == t
         want_margin = np.empty(int(rows.sum()))
-        want = tree.descend(wq[rows], want_margin)
+        want = tree.descend(wq[rows], want_margin, 0)
         assert np.array_equal(got[rows], want + first[t])
         assert margin[rows].tobytes() == want_margin.tobytes()
     assert (margin[tree_of == 1] == np.inf).all()
-    assert np.array_equal(forest.descend(wq, start=first[0]), model[0].descend(wq))
+    assert np.array_equal(forest.descend(wq, margin, first[0]), leaf_of(model[0], wq))
     for t, tree in enumerate(model):
         nodes = slice(first[t], first[t] + tree.num_nodes)
         assert forest.normals[nodes].tobytes() == tree.normals.tobytes()
@@ -385,7 +391,7 @@ def test_descent_is_deterministic():
     pts = random_scene(rng, 500)
     tree = build_tree(pts)
     q = rng.uniform(-5, 5, size=(50, 3))
-    assert np.array_equal(tree.descend(q), tree.descend(q))
+    assert np.array_equal(leaf_of(tree, q), leaf_of(tree, q))
 
 
 # ------------------------------------------------------------- transform
@@ -436,7 +442,7 @@ def test_search_on_moved_tree_matches_oracle():
     for move in (x, x.inverse()):
         transform_tree(tree, move)
         queries = move.apply(queries)
-        batch = tree.descend(queries)
+        batch = leaf_of(tree, queries)
         for k, q in enumerate(queries):
             assert int(batch[k]) == oracle_descend(tree, q)[0]
 
@@ -448,9 +454,9 @@ def test_search_equivariance_under_rigid_motion():
         tree = build_tree(pts)
         x = exp_se3(rng.normal(size=6))
         q = rng.uniform(-5, 5, size=3)
-        before = tree.mus[tree.descend(q)[0]].copy()
+        before = tree.mus[leaf_of(tree, q)[0]].copy()
         transform_tree(tree, x)
-        after = tree.mus[tree.descend(x.apply(q))[0]]
+        after = tree.mus[leaf_of(tree, x.apply(q))[0]]
         assert np.abs(after - x.apply(before)).max() < 1e-9
 
 
@@ -463,7 +469,7 @@ def test_leaves_partition_the_cloud():
     rng = np.random.default_rng(42)
     pts = random_scene(rng, 700)
     tree = build_tree(pts)
-    assert np.all(tree.left[tree.descend(pts)] == -1)
+    assert np.all(tree.left[leaf_of(tree, pts)] == -1)
     counts = node_sums(tree, pts)
     assert np.all(counts[tree.leaf_ids] >= 1)
     assert counts[0] == len(pts)

@@ -63,8 +63,9 @@ def valid_leaf_mus(tree):
 
 
 def land(tree, wq):
-    """Leaf ids of the queries and those leaves' centroids, normals and validity."""
-    ids = tree.descend(wq)
+    """Leaf ids of the queries, walked from the root, and those leaves'
+    centroids, normals and validity."""
+    ids = tree.descend(wq, np.empty(len(wq)), 0)
     return ids, tree.mus[ids], tree.normals[ids], tree.valid[ids]
 
 
@@ -112,7 +113,7 @@ def test_residual_zero_at_coincidence(room):
     pts, tree = room
     valid = tree.leaf_valid()
     mu, normal = tree.leaf_mus()[valid][:1], tree.normals[tree.leaf_ids][valid][:1]
-    e, jac = point_to_plane(mu, mu, normal)
+    e, jac = point_to_plane(mu, mu, normal, np.empty((1, 6)))
     assert abs(e[0]) < 1e-12
     assert np.abs(jac[0, :3] - normal[0]).max() < 1e-12
 
@@ -124,7 +125,7 @@ def test_residual_hand_case():
     pts_q = pts_m + np.array([0.3, 0.0, 0.0])
     query = build_tree(pts_q)
     _, mu_l, n_l, _ = land(model, query.mus[:1])
-    e, jac = point_to_plane(query.mus[:1], mu_l, n_l)
+    e, jac = point_to_plane(query.mus[:1], mu_l, n_l, np.empty((1, 6)))
     assert e[0] == pytest.approx(0.3, abs=1e-12)
     assert np.abs(jac[0, :3] - np.array([1.0, 0.0, 0.0])).max() < 1e-9
 
@@ -142,7 +143,7 @@ def test_jacobian_matches_central_differences(room):
 
     def residuals(deltas):
         wq = np.array([(exp_se3(d) @ x).apply(p) for d, x, p in zip(deltas, poses, q)])
-        return point_to_plane(wq, mu_l, n_l)
+        return point_to_plane(wq, mu_l, n_l, np.empty((300, 6)))
 
     _, jac = residuals(np.zeros((300, 6)))
     fd = np.zeros((300, 6))
@@ -161,12 +162,11 @@ def test_point_to_plane_matches_numpy_cross_bit_for_bit():
     n_l = rng.normal(size=(500, 3))
     n_l /= np.linalg.norm(n_l, axis=1)[:, None]
     want = np.hstack([n_l, np.cross(wq, n_l)])
-    e, jac = point_to_plane(wq, mu_l, n_l)
-    assert jac.tobytes() == want.tobytes()
-    assert e.tobytes() == np.einsum("ni,ni->n", n_l, wq - mu_l).tobytes()
+    # a leading slice of a larger buffer, as _accumulate passes it
     buf = np.full((600, 6), np.nan)
-    _, into = point_to_plane(wq, mu_l, n_l, buf[:500])
-    assert np.shares_memory(into, buf) and into.tobytes() == want.tobytes()
+    e, jac = point_to_plane(wq, mu_l, n_l, buf[:500])
+    assert np.shares_memory(jac, buf) and jac.tobytes() == want.tobytes()
+    assert e.tobytes() == np.einsum("ni,ni->n", n_l, wq - mu_l).tobytes()
 
 
 def test_accumulate_matches_per_row_fsum_oracle():
@@ -215,7 +215,7 @@ def test_accumulate_matches_per_row_fsum_oracle():
 
 def assert_cache_is_full_descent(cache, model, wq):
     for t, tree in enumerate(model):
-        ids = tree.descend(wq)
+        ids, _, _, _ = land(tree, wq)
         assert cache.mu_l[t].tobytes() == tree.mus[ids].tobytes()
         assert cache.n_l[t].tobytes() == tree.normals[ids].tobytes()
         assert np.array_equal(cache.valid[t], tree.valid[ids])
@@ -243,7 +243,7 @@ def test_leaf_cache_matches_full_descent():
         interior = np.flatnonzero(model[0].left >= 0)
         mus_q = np.vstack([rng.uniform(-1.0, 21.0, size=(400, 3)) + offset,
                            model[0].mus[rng.choice(interior, size=40)]])
-        cache = _LeafCache(model)
+        cache = _LeafCache(model, len(mus_q))
         pose = Isometry3.identity()
         for k in range(15):
             wq = pose.apply(mus_q)
@@ -272,18 +272,18 @@ def test_leaf_cache_zero_step_descends_only_zero_margins(monkeypatch):
     zero = 0
     for t, tree in enumerate(model):
         margin = np.empty(len(wq))
-        tree.descend(wq, margin)
+        tree.descend(wq, margin, 0)
         zero += int((margin == 0.0).sum())
         assert (margin[300 + 30 * t:330 + 30 * t] == 0.0).all()
     descended = []
     original = KdTree.descend
 
-    def counting(self, queries, margin=None, start=None):
+    def counting(self, queries, margin, start):
         descended.append(len(queries))
         return original(self, queries, margin, start)
 
     monkeypatch.setattr(KdTree, "descend", counting)
-    cache = _LeafCache(model)
+    cache = _LeafCache(model, len(wq))
     for _ in range(5):
         cache.update(wq)
     assert descended == [len(wq)] * 2 + [zero] * 4
@@ -312,15 +312,15 @@ def test_leaf_cache_slack_catches_a_rounded_sign_flip(monkeypatch):
     moved = np.array([[float.fromhex(x) for x in
                        ("0x1.5749be113cb61p-1", "0x1.3f411aecb515bp-3", "-0x1.04f420708567dp-3")]])
     margin = np.empty(1)
-    assert tree.descend(q, margin)[0] == 2 and tree.descend(moved)[0] == 1
+    assert tree.descend(q, margin, 0)[0] == 2 and land(tree, moved)[0][0] == 1
     step = np.sqrt(np.einsum("ni,ni->n", moved - q, moved - q))
     assert margin[0] - step[0] > 0.0
-    cache = _LeafCache([tree])
+    cache = _LeafCache([tree], 1)
     for wq in (q, moved):
         cache.update(wq)
         assert_cache_is_full_descent(cache, [tree], wq)
     monkeypatch.setattr(registration, "CACHE_SLACK", 0.0)
-    cache = _LeafCache([tree])
+    cache = _LeafCache([tree], 1)
     cache.update(q)
     cache.update(moved)
     assert np.array_equal(cache.mu_l[0], tree.mus[[2]])
@@ -331,7 +331,7 @@ def test_leaf_cache_non_finite_step_descends_again():
     rng = np.random.default_rng(64)
     model = [build_tree(room_cloud(rng, 3000, size=20.0)) for _ in range(2)]
     wq = rng.uniform(-1.0, 21.0, size=(200, 3))
-    cache = _LeafCache(model)
+    cache = _LeafCache(model, len(wq))
     cache.update(wq)
     for bad in (np.nan, np.inf, -np.inf):
         moved = wq.copy()
